@@ -132,7 +132,7 @@ func roster() string {
 }
 
 // finding is the machine-readable form of one diagnostic — the
-// engine's rendered wire type, whose file is module-root-relative so
+// driver's rendered wire type, whose file is module-root-relative so
 // baselines are stable across checkouts.
 type finding = driver.Diag
 
@@ -147,12 +147,8 @@ func standalone(args []string) {
 	fs := flag.NewFlagSet("tdcache-lint", flag.ExitOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
 	baselineFile := fs.String("baseline", "", "JSON findings file; only findings absent from it fail the run")
-	cacheDir := fs.String("cache", "", "content-addressed result cache directory (empty disables caching)")
-	jobs := fs.Int("j", 0, "parallel analysis workers (0 = GOMAXPROCS, 1 = sequential)")
-	statsFile := fs.String("stats", "", "write per-package/per-analyzer run statistics JSON to this file")
-	benchFile := fs.String("bench", "", "self-benchmark (cold vs warm vs -j1) and write JSON to this file")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [-json] [-baseline file] [-cache dir] [-j n] [-stats file] [-bench file] ./... (run from inside the module)\n", fs.Name())
+		fmt.Fprintf(os.Stderr, "usage: %s [-json] [-baseline file] ./... (run from inside the module)\n", fs.Name())
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -177,28 +173,9 @@ func standalone(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	root, err := driver.FindModuleRoot(cwd)
+	findings, err := collect(cwd, patterns)
 	if err != nil {
 		fatal(err)
-	}
-	if *benchFile != "" {
-		if err := runBench(root, patterns, *benchFile); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	res, err := lint(root, patterns, *cacheDir, *jobs)
-	if err != nil {
-		fatal(err)
-	}
-	if *statsFile != "" {
-		if err := writeJSONFile(*statsFile, res.Stats); err != nil {
-			fatal(err)
-		}
-	}
-	findings := res.Diags
-	if findings == nil {
-		findings = []finding{}
 	}
 
 	if *jsonOut {
@@ -237,37 +214,18 @@ func loadBaseline(path string) (map[string]int, error) {
 	return baseline, nil
 }
 
-// lint runs the engine over the patterns with the standalone lane's
-// configuration: the full roster, suppression audit on.
-func lint(root string, patterns []string, cacheDir string, jobs int) (*driver.RunResult, error) {
-	// The standalone lane sees full source for every package, so live
-	// suppressions are provably live here; enable the allowcheck audit.
-	return driver.Lint(root, driver.Options{
-		Patterns:  patterns,
-		Analyzers: analyzers,
-		Jobs:      jobs,
-		CacheDir:  cacheDir,
-		Audit:     true,
-	})
-}
-
 // collect runs the full suite over the patterns (resolved against the
 // module containing dir) and returns every finding with module-root-
-// relative file paths. The result is never nil, so it always encodes
+// relative file paths. The standalone lane sees full source for every
+// package, so live suppressions are provably live and driver.Lint runs
+// the allowcheck audit. The result is never nil, so it always encodes
 // as a JSON array.
 func collect(dir string, patterns []string) ([]finding, error) {
 	root, err := driver.FindModuleRoot(dir)
 	if err != nil {
 		return nil, err
 	}
-	res, err := lint(root, patterns, "", 0)
-	if err != nil {
-		return nil, err
-	}
-	if res.Diags == nil {
-		return []finding{}, nil
-	}
-	return res.Diags, nil
+	return driver.Lint(root, patterns, analyzers)
 }
 
 // filterNew returns the findings not absorbed by the baseline multiset
@@ -282,15 +240,6 @@ func filterNew(findings []finding, baseline map[string]int) []finding {
 		fresh = append(fresh, f)
 	}
 	return fresh
-}
-
-// writeJSONFile writes v as indented JSON to path.
-func writeJSONFile(path string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 func fatal(err error) {

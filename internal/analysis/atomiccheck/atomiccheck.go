@@ -40,8 +40,7 @@ import (
 
 // Analyzer is the atomiccheck rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "atomiccheck",
-	Version: "1",
+	Name: "atomiccheck",
 	Doc: "fields accessed via sync/atomic (by address or typed atomics) must never be accessed plainly, " +
 		"and //guard: mutex-guarded fields must not also be atomic (mixed discipline)",
 	Run: run,

@@ -53,8 +53,7 @@ import (
 
 // Analyzer is the closecheck rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "closecheck",
-	Version: "1",
+	Name: "closecheck",
 	Doc: "values with a release obligation (files, response bodies, listeners, temp dirs, module Closers) " +
 		"must be released on every path, after their companion error is checked, and exactly once",
 	Run: run,

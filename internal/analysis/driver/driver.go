@@ -9,12 +9,9 @@
 // "source" compiler importer. Both paths are hermetic: no network, no
 // GOPATH, no build cache.
 //
-// On top of the loader sits the incremental parallel engine (Lint in
-// engine.go): it derives the package import DAG (dag.go), schedules
-// type-checking and analysis of independent packages concurrently on
-// the deterministic slotted pool from internal/sweep, and replays
-// prior results from a content-addressed on-disk cache (cache.go) so a
-// warm run is O(changed packages) instead of O(module).
+// Lint is the standalone lane: one sequential pass that expands the
+// patterns, loads each package, runs the roster with the suppression
+// audit on, and returns module-relative, position-sorted findings.
 //
 // The Loader itself is safe for concurrent Load calls: package results
 // are singleflight-memoized per import path, the position table is the
@@ -23,9 +20,7 @@
 // FileSet — rather than one per package — is deliberate: analyzers
 // compare raw token.Pos values across packages (DeclaredWithin,
 // fact anchors), which is only sound when every file lives in a single
-// position space. Rendered positions (file:line:col) are independent
-// of FileSet insertion order, so parallel runs print byte-identical
-// diagnostics anyway.
+// position space.
 package driver
 
 import (
@@ -447,7 +442,7 @@ type Context struct {
 // analyzerLock returns the mutex serializing runs of one analyzer
 // across packages. Analyzers share run-wide state (call graphs, fact
 // scans) through FactStore.Shared without internal locking; holding
-// this lock during each Run is what lets the engine analyze different
+// this lock during each Run is what lets a caller analyze different
 // packages concurrently while every individual analyzer still sees the
 // sequential world it was written for.
 func (c *Context) analyzerLock(name string) *sync.Mutex {
@@ -492,26 +487,16 @@ func (l *Loader) Context() *Context {
 // that survive `//lint:allow` suppression, in position order
 // (file, line, column, rule) with exact duplicates removed. The
 // ordering and dedup contract is unconditional so the standalone, vet,
-// and analysistest lanes — and cached replays of any of them — agree
-// byte for byte.
+// and analysistest lanes agree byte for byte. Each analyzer runs under
+// its run-wide lock; see Context.analyzerLock.
 func Run(analyzers []*framework.Analyzer, pkg *Package, ctx *Context) ([]framework.Diagnostic, error) {
-	return runAnalyzers(analyzers, pkg, ctx, nil)
-}
-
-// runAnalyzers is Run with an optional per-analyzer timing sink (the
-// engine's -stats plumbing). Each analyzer runs under its run-wide
-// lock; see Context.analyzerLock.
-func runAnalyzers(analyzers []*framework.Analyzer, pkg *Package, ctx *Context,
-	timing func(analyzer string, seconds float64)) ([]framework.Diagnostic, error) {
-
 	var diags []framework.Diagnostic
 	sink := func(d framework.Diagnostic) { diags = append(diags, d) }
 	for _, a := range analyzers {
 		pass := framework.NewPass(a, ctx.Fset, pkg.Files, pkg.Types, pkg.Info, sink)
 		pass.Imported = ctx.Imported
 		pass.Facts = ctx.Facts
-		err := runOneAnalyzer(a, pass, ctx, timing)
-		if err != nil {
+		if err := runOneAnalyzer(a, pass, ctx); err != nil {
 			return nil, fmt.Errorf("driver: %s on %s: %w", a.Name, pkg.Path, err)
 		}
 	}
@@ -531,17 +516,95 @@ func runAnalyzers(analyzers []*framework.Analyzer, pkg *Package, ctx *Context,
 	return framework.DedupeDiagnostics(ctx.Fset, out), nil
 }
 
-// runOneAnalyzer runs a single analyzer under its lock, timing it.
-func runOneAnalyzer(a *framework.Analyzer, pass *framework.Pass, ctx *Context,
-	timing func(string, float64)) error {
-
+// runOneAnalyzer runs a single analyzer under its lock.
+func runOneAnalyzer(a *framework.Analyzer, pass *framework.Pass, ctx *Context) error {
 	mu := ctx.analyzerLock(a.Name)
 	mu.Lock()
 	defer mu.Unlock()
-	start := nowMonotonic()
-	err := a.Run(pass)
-	if timing != nil {
-		timing(a.Name, nowMonotonic()-start)
+	return a.Run(pass)
+}
+
+// Diag is one rendered diagnostic: the position is resolved to a
+// module-root-relative file path so baselines are stable across
+// checkouts. It is the findings wire format of the standalone lane's
+// -json output.
+type Diag struct {
+	Rule    string `json:"rule"`
+	File    string `json:"file"`
+	Line    int    `json:"line"`
+	Col     int    `json:"col"`
+	Message string `json:"message"`
+}
+
+// Lint runs the analyzers over the patterns' packages in the module
+// rooted at root, one package after another, with the suppression
+// audit on. Paths under a testdata directory are dropped after
+// expansion: those trees are analyzer fixtures, not code. The result
+// is sorted by SortDiags and never nil.
+func Lint(root string, patterns []string, analyzers []*framework.Analyzer) ([]Diag, error) {
+	loader, err := NewModuleLoader(root)
+	if err != nil {
+		return nil, err
 	}
-	return err
+	paths, err := loader.Expand(patterns)
+	if err != nil {
+		return nil, err
+	}
+	ctx := loader.Context()
+	ctx.AuditSuppressions = true
+	out := []Diag{}
+	for _, path := range paths {
+		if strings.Contains(path, "/testdata/") {
+			continue
+		}
+		pkg, err := loader.Load(path)
+		if err != nil {
+			return nil, err
+		}
+		diags, err := Run(analyzers, pkg, ctx)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range diags {
+			pos := loader.Fset.Position(d.Pos)
+			out = append(out, Diag{
+				Rule: d.Rule, File: relativeTo(root, pos.Filename),
+				Line: pos.Line, Col: pos.Column, Message: d.Message,
+			})
+		}
+	}
+	SortDiags(out)
+	return out, nil
+}
+
+// relativeTo renders file relative to root (slash-separated) when it
+// lies inside it, which every module file does; GOROOT paths (never in
+// diagnostics, but defensively) stay absolute.
+func relativeTo(root, file string) string {
+	rel, err := filepath.Rel(root, file)
+	if err != nil || strings.HasPrefix(rel, "..") {
+		return file
+	}
+	return filepath.ToSlash(rel)
+}
+
+// SortDiags orders rendered diagnostics by file, line, column, rule,
+// message — the standalone lane's single output ordering.
+func SortDiags(diags []Diag) {
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Col != b.Col {
+			return a.Col < b.Col
+		}
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Message < b.Message
+	})
 }

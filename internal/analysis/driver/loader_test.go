@@ -1,10 +1,11 @@
 package driver
 
 // Loader-level coverage: go.mod parsing, import-cycle reporting,
-// pattern expansion edge cases, the stdlib fallback, and the
-// unconditional sort+dedupe contract of Run.
+// pattern expansion edge cases, the stdlib fallback, the
+// unconditional sort+dedupe contract of Run, and Lint's rendering.
 
 import (
+	"go/ast"
 	"os"
 	"path/filepath"
 	"strings"
@@ -103,20 +104,6 @@ func TestLoadReportsImportCycle(t *testing.T) {
 	}
 	if _, err := loader.Load("m/ok"); err != nil {
 		t.Errorf("acyclic package failed after a cycle error: %v", err)
-	}
-}
-
-func TestDepGraphReportsImportCycle(t *testing.T) {
-	loader, err := NewModuleLoader(cyclicModule(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = buildDepGraph(loader, []string{"m/a", "m/ok"})
-	if err == nil {
-		t.Fatal("buildDepGraph accepted a cyclic graph")
-	}
-	if !strings.Contains(err.Error(), "import cycle") {
-		t.Errorf("cycle error = %q, want an import-cycle message", err)
 	}
 }
 
@@ -233,9 +220,8 @@ func TestRunSortsAndDedupes(t *testing.T) {
 	// Reports the file's declarations in reverse source order, so any
 	// ordering in the output is the driver's doing.
 	noisy := &framework.Analyzer{
-		Name:    "noisy",
-		Doc:     "test analyzer reporting every package-level declaration",
-		Version: "1",
+		Name: "noisy",
+		Doc:  "test analyzer reporting every package-level declaration",
 		Run: func(pass *framework.Pass) error {
 			for _, f := range pass.Files {
 				for i := len(f.Decls) - 1; i >= 0; i-- {
@@ -256,5 +242,61 @@ func TestRunSortsAndDedupes(t *testing.T) {
 	p1 := loader.Fset.Position(diags[1].Pos)
 	if p0.Line >= p1.Line {
 		t.Errorf("diagnostics out of order: line %d before line %d", p0.Line, p1.Line)
+	}
+}
+
+// TestLintRendersSortedModuleRelativeDiags pins the standalone lane:
+// findings from every package come back module-relative and globally
+// sorted, explicitly named testdata packages are skipped, and the
+// suppression audit is on.
+func TestLintRendersSortedModuleRelativeDiags(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod":       "module m\n\ngo 1.24\n",
+		"leaf/leaf.go": "package leaf\n\nfunc Value() int { return 1 }\n",
+		"top/top.go": "package top\n\nimport \"m/leaf\"\n\nfunc BadTop() int { return leaf.Value() }\n\n" +
+			"//lint:allow badfunc nothing to suppress, see TestLintRendersSortedModuleRelativeDiags\nfunc Fine() {}\n",
+		"other/other.go":         "package other\n\nfunc BadOther() {}\n",
+		"other/testdata/td/t.go": "package td\n\nfunc BadFixture() {}\n",
+	})
+	// badfunc flags every function whose name starts with "Bad".
+	badfunc := &framework.Analyzer{
+		Name: "badfunc",
+		Doc:  "test analyzer flagging functions named Bad*",
+		Run: func(pass *framework.Pass) error {
+			for _, f := range pass.Files {
+				for _, decl := range f.Decls {
+					if fd, ok := decl.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "Bad") {
+						pass.Reportf(fd.Pos(), "function %s is bad", fd.Name.Name)
+					}
+				}
+			}
+			return nil
+		},
+	}
+	diags, err := Lint(root, []string{"./...", "./other/testdata/td"}, []*framework.Analyzer{badfunc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Diag{
+		{Rule: "badfunc", File: "other/other.go", Line: 3, Col: 1, Message: "function BadOther is bad"},
+		{Rule: "badfunc", File: "top/top.go", Line: 5, Col: 1, Message: "function BadTop is bad"},
+		{Rule: framework.AllowCheckRule, File: "top/top.go", Line: 7, Col: 1,
+			Message: "stale suppression: no badfunc finding is reported here anymore; delete the //lint:allow"},
+	}
+	if len(diags) != len(want) {
+		t.Fatalf("Lint returned %d diagnostics, want %d: %+v", len(diags), len(want), diags)
+	}
+	for i := range want {
+		if diags[i] != want[i] {
+			t.Errorf("diags[%d] = %+v, want %+v", i, diags[i], want[i])
+		}
+	}
+
+	clean, err := Lint(root, []string{"./leaf"}, []*framework.Analyzer{badfunc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean == nil || len(clean) != 0 {
+		t.Errorf("Lint of a clean package = %#v, want an empty non-nil slice", clean)
 	}
 }

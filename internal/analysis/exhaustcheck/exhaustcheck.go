@@ -54,8 +54,7 @@ import (
 
 // Analyzer is the exhaustcheck rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "exhaustcheck",
-	Version: "1",
+	Name: "exhaustcheck",
 	Doc: "a switch over an //enum:closed type must cover every member or carry a default " +
 		"annotated //enum:default <reason>",
 	Run: run,

@@ -29,12 +29,6 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of the invariant the rule
 	// enforces and how to fix a finding.
 	Doc string
-	// Version is the analyzer's cache-busting version string. It
-	// participates in the incremental engine's content-addressed cache
-	// key, so bumping it invalidates every cached result that the
-	// analyzer contributed to — the required release step for any
-	// change that can alter diagnostics or exported facts.
-	Version string
 	// Run inspects one package and reports findings through pass.Reportf.
 	Run func(pass *Pass) error
 }
@@ -270,12 +264,10 @@ func SortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
 
 // DedupeDiagnostics removes exact duplicates — same rule, rendered
 // position, and message — from a position-sorted slice. Duplicates
-// arise when one finding reaches the driver through two paths (a
-// cached replay plus a live analyzer run, or two analyzers sharing a
-// rule name); emitting it twice would make output depend on which
-// paths executed. Comparison uses rendered positions, not raw
-// token.Pos, so a replayed diagnostic anchored at a re-parsed file
-// still matches its live twin.
+// arise when one finding reaches the driver through two paths (two
+// analyzers sharing a rule name); emitting it twice would make output
+// depend on which paths executed. Comparison uses rendered positions,
+// not raw token.Pos.
 func DedupeDiagnostics(fset *token.FileSet, diags []Diagnostic) []Diagnostic {
 	out := diags[:0]
 	for i, d := range diags {

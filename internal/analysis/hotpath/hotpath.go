@@ -64,8 +64,7 @@ import (
 
 // Analyzer is the hotpath rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "hotpath",
-	Version: "1",
+	Name: "hotpath",
 	Doc: "functions tagged //hotpath: must be transitively free of heap allocation, " +
 		"map iteration, mutex/channel operations, defer, and reachable panic",
 	Run: run,

@@ -47,8 +47,7 @@ import (
 
 // Analyzer is the lifecycle rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "lifecycle",
-	Version: "1",
+	Name: "lifecycle",
 	Doc: "every go statement must be tied to a shutdown edge (WaitGroup pairing, context cancellation, " +
 		"close-drained channel, or Close-managed captured object), and channel sends must be select-guarded or capacity-matched",
 	Run: run,

@@ -65,8 +65,7 @@ import (
 
 // Analyzer is the lockcheck rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "lockcheck",
-	Version: "1",
+	Name: "lockcheck",
 	Doc: "fields tagged //guard:<mu> may only be accessed with the named sibling mutex held " +
 		"(Lock for writes, at least RLock for reads); //locks:held methods propagate the obligation to callers",
 	Run: run,

@@ -58,8 +58,7 @@ import (
 
 // Analyzer is the purecheck rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "purecheck",
-	Version: "1",
+	Name: "purecheck",
 	Doc: "functions memoized through (*sweep.Memo).Do must be pure functions of the key: " +
 		"no package-level writes, no ambient entropy, no unmanaged receiver mutation",
 	Run: run,

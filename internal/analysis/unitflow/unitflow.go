@@ -10,8 +10,7 @@ import (
 
 // Analyzer is the unitflow rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "unitflow",
-	Version: "1",
+	Name: "unitflow",
 	Doc: `unitflow propagates //unit: declarations through assignments,
 arithmetic, and calls (including cross-package calls) and reports
 provable physical-unit errors: adding/subtracting/comparing values of

@@ -11,6 +11,23 @@ import (
 	"tdcache/internal/circuit"
 )
 
+// quickArtifacts memoizes one sp.Run(sharedQuick) per spec ID for the
+// test binary, so the golden and schema tests below check the same
+// built artifact instead of each building all 18 experiments. Tests in
+// this package do not run in parallel, so a plain map suffices.
+var quickArtifacts = map[string]artifact.Artifact{}
+
+// quickArtifact returns sp's artifact at sharedQuick, building it on
+// first use.
+func quickArtifact(sp Spec) artifact.Artifact {
+	a, ok := quickArtifacts[sp.ID]
+	if !ok {
+		a = sp.Run(sharedQuick)
+		quickArtifacts[sp.ID] = a
+	}
+	return a
+}
+
 // TestGoldenTextOutput asserts that the text encoding of every
 // registered experiment is byte-identical to the golden files captured
 // from the pre-artifact-pipeline Print methods at quick configuration.
@@ -28,7 +45,7 @@ func TestGoldenTextOutput(t *testing.T) {
 				t.Fatalf("golden file: %v", err)
 			}
 			var buf bytes.Buffer
-			if err := artifact.EncodeText(&buf, sp.Run(sharedQuick)); err != nil {
+			if err := artifact.EncodeText(&buf, quickArtifact(sp)); err != nil {
 				t.Fatalf("encode: %v", err)
 			}
 			if !bytes.Equal(buf.Bytes(), golden) {
@@ -38,8 +55,9 @@ func TestGoldenTextOutput(t *testing.T) {
 	}
 }
 
-// TestArtifactTablesValidate runs every experiment once and checks the
-// structured artifact passes schema validation with full provenance.
+// TestArtifactTablesValidate checks that every experiment's structured
+// artifact passes schema validation with full provenance. It reuses the
+// artifacts TestGoldenTextOutput built.
 func TestArtifactTablesValidate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -48,7 +66,7 @@ func TestArtifactTablesValidate(t *testing.T) {
 	for _, sp := range Specs {
 		sp := sp
 		t.Run(sp.ID, func(t *testing.T) {
-			a := sp.Run(sharedQuick)
+			a := quickArtifact(sp)
 			if got := a.ArtifactID(); got != sp.ID {
 				t.Fatalf("ArtifactID = %q, want %q", got, sp.ID)
 			}

@@ -115,8 +115,17 @@ type System struct {
 	now int64
 	seq uint64 // next sequence number (1-based)
 
+	// rob is a power-of-two ring indexed through robMask; it holds at
+	// most Cfg.ROBSize entries (the logical capacity), so the ring may
+	// carry unused slack.
 	rob             []robEntry
+	robMask         int
 	robHead, robLen int
+
+	// waiting lists, oldest first, the ROB slots still in sWaiting: the
+	// instructions resident in the issue queues. Its capacity is
+	// IntIQ+FpIQ and its length always equals intIQ+fpIQ.
+	waiting []int
 
 	doneRing [doneRingSize]int64
 
@@ -127,8 +136,9 @@ type System struct {
 
 	mshrs []mshr
 
-	fetchBlockedBy uint64 // seq of unresolved mispredicted branch (0 = none)
-	fetchResumeAt  int64
+	fetchBlockedBy   uint64 // seq of unresolved mispredicted branch (0 = none)
+	fetchBlockedSlot int    // its ROB slot, valid while fetchBlockedBy != 0
+	fetchResumeAt    int64
 
 	// overflow is the one-deep dispatch retry slot (see pushback); a
 	// value plus flag rather than a pointer so re-queueing an
@@ -146,18 +156,25 @@ type System struct {
 // NewSystem builds a system around the given L1 cache, L2, and workload
 // generator.
 func NewSystem(cfg Config, cache *core.Cache, l2 *L2, gen *workload.Generator) *System {
+	ring := 1
+	for ring < cfg.ROBSize {
+		ring <<= 1
+	}
 	s := &System{
-		Cfg:   cfg,
-		Cache: cache,
-		L2:    l2,
-		Pred:  NewTournament(),
-		Gen:   gen,
-		rob:   make([]robEntry, cfg.ROBSize),
-		mshrs: make([]mshr, cfg.MSHRs),
+		Cfg:     cfg,
+		Cache:   cache,
+		L2:      l2,
+		Pred:    NewTournament(),
+		Gen:     gen,
+		rob:     make([]robEntry, ring),
+		robMask: ring - 1,
+		mshrs:   make([]mshr, cfg.MSHRs),
 		// Exact capacities: the hot path guards every append with a
 		// len==cap check, so these bounds double as the structural limits
-		// (StoreBuffer entries; at most LoadQ loads can wait on one fill).
+		// (StoreBuffer entries; at most LoadQ loads can wait on one fill;
+		// dispatch admits at most IntIQ+FpIQ waiting instructions).
 		storeBuf: make([]uint64, 0, cfg.StoreBuffer),
+		waiting:  make([]int, 0, cfg.IntIQ+cfg.FpIQ),
 	}
 	for i := range s.mshrs {
 		s.mshrs[i].loads = make([]int, 0, cfg.LoadQ)
@@ -186,6 +203,7 @@ func (s *System) Reset(cache *core.Cache, l2 *L2, gen *workload.Generator) {
 	s.M = Metrics{}
 	s.now, s.seq = 0, 0
 	s.robHead, s.robLen = 0, 0
+	s.waiting = s.waiting[:0]
 	s.doneRing = [doneRingSize]int64{}
 	s.intIQ, s.fpIQ, s.loadQ, s.storeQ = 0, 0, 0, 0
 	s.storeBuf = s.storeBuf[:0]
@@ -193,7 +211,7 @@ func (s *System) Reset(cache *core.Cache, l2 *L2, gen *workload.Generator) {
 		s.mshrs[i].valid = false
 		s.mshrs[i].loads = s.mshrs[i].loads[:0]
 	}
-	s.fetchBlockedBy, s.fetchResumeAt = 0, 0
+	s.fetchBlockedBy, s.fetchBlockedSlot, s.fetchResumeAt = 0, 0, 0
 	s.overflow, s.hasOverflow = workload.Instr{}, false
 	s.lastFetchLine = 0
 	if s.icache != nil {
@@ -201,7 +219,7 @@ func (s *System) Reset(cache *core.Cache, l2 *L2, gen *workload.Generator) {
 	}
 }
 
-func (s *System) robAt(i int) *robEntry { return &s.rob[(s.robHead+i)%len(s.rob)] }
+func (s *System) robAt(i int) *robEntry { return &s.rob[(s.robHead+i)&s.robMask] }
 
 func (s *System) depsReady(e *robEntry) bool {
 	if e.dep1 != 0 && s.doneRing[e.dep1%doneRingSize] > s.now {
@@ -269,10 +287,9 @@ func (s *System) completeMisses() {
 		if f.Stall {
 			continue // retry next cycle: write port busy (refresh, etc.)
 		}
-		if f.Bypass {
-			// DSP all-dead set: nothing to install; loads complete
-			// straight from the L2 data that just arrived.
-		}
+		// A bypassed fill (DSP all-dead set) installs nothing; its loads
+		// complete straight from the L2 data that just arrived, exactly
+		// like an installed fill's.
 		for _, slot := range m.loads {
 			e := &s.rob[slot]
 			// The slot may have been recycled; check the state+kind.
@@ -321,7 +338,8 @@ func (s *System) drainStoreBuffer() {
 		default:
 			// Miss (or expired): write-allocate through an MSHR.
 			if s.allocMSHR(lineOf(addr), true) == -1 {
-				// Un-count the probe so the retry is not double counted.
+				// MSHRs full: the store stays at the head of the buffer
+				// and re-probes next cycle; that probe is counted again.
 				return
 			}
 		}
@@ -362,104 +380,135 @@ func (s *System) commit() {
 				s.fetchResumeAt = e.doneAt + int64(s.Cfg.MispredictPenalty)
 			}
 		}
-		s.robHead = (s.robHead + 1) % len(s.rob)
+		s.robHead = (s.robHead + 1) & s.robMask
 		s.robLen--
 		s.M.Instructions++
 	}
 }
 
-// issue wakes ready instructions, oldest first, within FU and port
-// limits, and resolves the fetch-blocking branch.
+// issue selects ready instructions, oldest first, from the ones waiting
+// in the issue queues, within the issue width and the FU and port
+// limits, and resolves the fetch-blocking branch. Issued instructions
+// leave the waiting list, which is compacted in place.
 func (s *System) issue() {
-	intFU := s.Cfg.IntFUs
-	fpFU := s.Cfg.FpFUs
+	fu := fuBudget{intFU: s.Cfg.IntFUs, fpFU: s.Cfg.FpFUs}
 	issued := 0
-	for i := 0; i < s.robLen && issued < s.Cfg.IssueWidth; i++ {
-		e := s.robAt(i)
-		// Resolve the blocking branch as soon as it completes.
-		if e.seq == s.fetchBlockedBy && e.state == sIssued && e.doneAt <= s.now {
-			s.fetchBlockedBy = 0
-			s.fetchResumeAt = e.doneAt + int64(s.Cfg.MispredictPenalty)
+	// The blocking branch is resolved when the select reaches its ROB
+	// position: just before the first waiting entry at or after it, or
+	// after the last one if issue slots remain. A select that fills the
+	// issue width earlier never reaches it this cycle. The position also
+	// orders the resolution's fetchResumeAt write after the replay bumps
+	// of older loads and before those of younger ones.
+	blocked := s.fetchBlockedBy != 0
+	blockedPos := (s.fetchBlockedSlot - s.robHead) & s.robMask
+	w := s.waiting
+	kept, k := 0, 0
+	for ; k < len(w) && issued < s.Cfg.IssueWidth; k++ {
+		slot := w[k]
+		if blocked && (slot-s.robHead)&s.robMask >= blockedPos {
+			s.resolveFetchBlock()
+			blocked = false
 		}
-		if e.state != sWaiting {
+		e := &s.rob[slot]
+		if s.depsReady(e) && s.issueOne(e, slot, &fu) {
+			issued++
 			continue
 		}
-		if !s.depsReady(e) {
-			continue
-		}
-		switch e.kind {
-		case workload.KInt, workload.KIntLong, workload.KBranch:
-			if intFU == 0 {
-				continue
-			}
-			intFU--
-			lat := int64(1)
-			if e.kind == workload.KIntLong {
-				lat = int64(s.Cfg.IntLongLat)
-			}
-			s.setDone(e, s.now+lat)
-			s.intIQ--
-			issued++
-		case workload.KFp, workload.KFpLong:
-			if fpFU == 0 {
-				continue
-			}
-			fpFU--
-			lat := int64(s.Cfg.FpLat)
-			if e.kind == workload.KFpLong {
-				lat = int64(s.Cfg.FpLongLat)
-			}
-			s.setDone(e, s.now+lat)
-			s.fpIQ--
-			issued++
-		case workload.KStore:
-			// Address generation only; data is written at commit.
-			s.setDone(e, s.now+1)
-			s.intIQ--
-			issued++
-		case workload.KLoad:
-			r := s.Cache.Access(e.addr, core.Load)
-			switch {
-			case r.PortStall:
-				s.M.LoadPortRetries++
-				continue
-			case r.Hit:
-				s.setDone(e, s.now+int64(r.Latency))
-			case r.Bypass:
-				lat := s.L2.Access(e.addr)
-				s.setDone(e, s.now+int64(lat))
-			default:
-				// Miss (possibly an expired line → replay penalty).
-				slot := s.allocMSHR(lineOf(e.addr), false)
-				if slot == -1 {
-					continue // MSHRs full; retry
-				}
-				// cap == Cfg.LoadQ: more waiters than load-queue entries is
-				// impossible, so this guard only pins the append below.
-				if len(s.mshrs[slot].loads) == cap(s.mshrs[slot].loads) {
-					continue
-				}
-				e.state = sWaitMem
-				e.doneAt = math.MaxInt64
-				s.doneRing[e.seq%doneRingSize] = math.MaxInt64
-				robSlot := (s.robHead + i) % len(s.rob)
-				s.mshrs[slot].loads = append(s.mshrs[slot].loads, robSlot)
-				if r.Expired {
-					// A load that hit a lapsed (dead) line was issued as
-					// a hit and must replay: the dependent instructions
-					// flush and fetch restarts (§4.3.2's "replay and
-					// flush in the pipeline").
-					s.M.Replays++
-					s.mshrs[slot].readyAt += int64(s.Cfg.ReplayPenalty)
-					if at := s.now + int64(s.Cfg.ReplayPenalty); at > s.fetchResumeAt {
-						s.fetchResumeAt = at
-					}
-				}
-			}
-			s.intIQ--
-			issued++
-		}
+		w[kept] = slot
+		kept++
 	}
+	kept += copy(w[kept:], w[k:])
+	s.waiting = w[:kept]
+	if blocked && issued < s.Cfg.IssueWidth {
+		s.resolveFetchBlock()
+	}
+}
+
+// fuBudget is the functional units still free in the current cycle.
+type fuBudget struct{ intFU, fpFU int }
+
+// resolveFetchBlock restarts fetch once the blocking branch has
+// completed.
+func (s *System) resolveFetchBlock() {
+	e := &s.rob[s.fetchBlockedSlot]
+	if e.state == sIssued && e.doneAt <= s.now {
+		s.fetchBlockedBy = 0
+		s.fetchResumeAt = e.doneAt + int64(s.Cfg.MispredictPenalty)
+	}
+}
+
+// issueOne tries to issue e, the operand-ready waiting instruction held
+// in ROB slot slot. It reports false when a structural limit — no free FU, an
+// L1 port stall, full MSHRs — keeps it waiting.
+func (s *System) issueOne(e *robEntry, slot int, fu *fuBudget) bool {
+	switch e.kind {
+	case workload.KInt, workload.KIntLong, workload.KBranch:
+		if fu.intFU == 0 {
+			return false
+		}
+		fu.intFU--
+		lat := int64(1)
+		if e.kind == workload.KIntLong {
+			lat = int64(s.Cfg.IntLongLat)
+		}
+		s.setDone(e, s.now+lat)
+		s.intIQ--
+	case workload.KFp, workload.KFpLong:
+		if fu.fpFU == 0 {
+			return false
+		}
+		fu.fpFU--
+		lat := int64(s.Cfg.FpLat)
+		if e.kind == workload.KFpLong {
+			lat = int64(s.Cfg.FpLongLat)
+		}
+		s.setDone(e, s.now+lat)
+		s.fpIQ--
+	case workload.KStore:
+		// Address generation only; data is written at commit.
+		s.setDone(e, s.now+1)
+		s.intIQ--
+	case workload.KLoad:
+		r := s.Cache.Access(e.addr, core.Load)
+		switch {
+		case r.PortStall:
+			s.M.LoadPortRetries++
+			return false
+		case r.Hit:
+			s.setDone(e, s.now+int64(r.Latency))
+		case r.Bypass:
+			lat := s.L2.Access(e.addr)
+			s.setDone(e, s.now+int64(lat))
+		default:
+			// Miss (possibly an expired line → replay penalty).
+			m := s.allocMSHR(lineOf(e.addr), false)
+			if m == -1 {
+				return false // MSHRs full; retry
+			}
+			// cap == Cfg.LoadQ: more waiters than load-queue entries is
+			// impossible, so this guard only pins the append below.
+			if len(s.mshrs[m].loads) == cap(s.mshrs[m].loads) {
+				return false
+			}
+			e.state = sWaitMem
+			e.doneAt = math.MaxInt64
+			s.doneRing[e.seq%doneRingSize] = math.MaxInt64
+			s.mshrs[m].loads = append(s.mshrs[m].loads, slot)
+			if r.Expired {
+				// A load that hit a lapsed (dead) line was issued as
+				// a hit and must replay: the dependent instructions
+				// flush and fetch restarts (§4.3.2's "replay and
+				// flush in the pipeline").
+				s.M.Replays++
+				s.mshrs[m].readyAt += int64(s.Cfg.ReplayPenalty)
+				if at := s.now + int64(s.Cfg.ReplayPenalty); at > s.fetchResumeAt {
+					s.fetchResumeAt = at
+				}
+			}
+		}
+		s.intIQ--
+	}
+	return true
 }
 
 // dispatch renames new instructions into the back end.
@@ -473,7 +522,7 @@ func (s *System) dispatch() {
 		return
 	}
 	for n := 0; n < s.Cfg.FetchWidth; n++ {
-		if s.robLen >= len(s.rob) {
+		if s.robLen >= s.Cfg.ROBSize {
 			s.M.ROBFullCycles++
 			return
 		}
@@ -527,7 +576,7 @@ func (s *System) dispatch() {
 			s.pushback(in)
 			return
 		}
-		tail := (s.robHead + s.robLen) % len(s.rob)
+		tail := (s.robHead + s.robLen) & s.robMask
 		e := &s.rob[tail]
 		*e = robEntry{
 			kind: in.Kind,
@@ -545,6 +594,13 @@ func (s *System) dispatch() {
 		}
 		s.doneRing[e.seq%doneRingSize] = math.MaxInt64
 		s.robLen++
+		// cap(waiting) == IntIQ+FpIQ, len(waiting) == intIQ+fpIQ, and the
+		// IQ checks above admitted this instruction, so only a bug can
+		// trip this guard; it pins the append below.
+		if len(s.waiting) == cap(s.waiting) {
+			panic("cpu: waiting list longer than the issue queues")
+		}
+		s.waiting = append(s.waiting, tail)
 		if in.Kind == workload.KBranch {
 			e.taken = in.Taken
 			e.predicted = s.Pred.Predict(in.PC)
@@ -552,6 +608,7 @@ func (s *System) dispatch() {
 				// Fetch stalls until this branch resolves (no wrong-path
 				// execution is modelled).
 				s.fetchBlockedBy = e.seq
+				s.fetchBlockedSlot = tail
 				return
 			}
 		}

@@ -1,6 +1,9 @@
 package cpu
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"tdcache/internal/core"
@@ -317,5 +320,218 @@ func TestSystemResetMatchesFresh(t *testing.T) {
 	}
 	if c1.C != c2.C {
 		t.Fatalf("cache counters diverged:\nfresh:    %+v\nrecycled: %+v", c1.C, c2.C)
+	}
+}
+
+// stepReference is Step with issue replaced by issueReference. It
+// reports whether the select filled the issue width before reaching a
+// fetch-blocking branch.
+func (s *System) stepReference() (widthCut bool) {
+	s.Cache.Tick(s.now)
+	s.completeMisses()
+	s.drainStoreBuffer()
+	s.commit()
+	widthCut = s.issueReference()
+	s.dispatch()
+	s.now++
+	return widthCut
+}
+
+// issueReference is the issue stage as a full in-order ROB scan: every
+// cycle it walks the ROB oldest first, resolving the fetch-blocking
+// branch when it reaches it and issuing waiting instructions until the
+// width runs out. issue must decide exactly what this decides. Afterwards
+// it rebuilds the waiting list from the ROB so dispatch can keep
+// appending to it. It reports whether the scan stopped short of the
+// fetch-blocking branch.
+func (s *System) issueReference() (widthCut bool) {
+	intFU := s.Cfg.IntFUs
+	fpFU := s.Cfg.FpFUs
+	issued := 0
+	reached := s.fetchBlockedBy == 0
+	for i := 0; i < s.robLen && issued < s.Cfg.IssueWidth; i++ {
+		e := s.robAt(i)
+		if e.seq == s.fetchBlockedBy {
+			reached = true
+		}
+		// Resolve the blocking branch as soon as it completes.
+		if e.seq == s.fetchBlockedBy && e.state == sIssued && e.doneAt <= s.now {
+			s.fetchBlockedBy = 0
+			s.fetchResumeAt = e.doneAt + int64(s.Cfg.MispredictPenalty)
+		}
+		if e.state != sWaiting {
+			continue
+		}
+		if !s.depsReady(e) {
+			continue
+		}
+		switch e.kind {
+		case workload.KInt, workload.KIntLong, workload.KBranch:
+			if intFU == 0 {
+				continue
+			}
+			intFU--
+			lat := int64(1)
+			if e.kind == workload.KIntLong {
+				lat = int64(s.Cfg.IntLongLat)
+			}
+			s.setDone(e, s.now+lat)
+			s.intIQ--
+			issued++
+		case workload.KFp, workload.KFpLong:
+			if fpFU == 0 {
+				continue
+			}
+			fpFU--
+			lat := int64(s.Cfg.FpLat)
+			if e.kind == workload.KFpLong {
+				lat = int64(s.Cfg.FpLongLat)
+			}
+			s.setDone(e, s.now+lat)
+			s.fpIQ--
+			issued++
+		case workload.KStore:
+			s.setDone(e, s.now+1)
+			s.intIQ--
+			issued++
+		case workload.KLoad:
+			r := s.Cache.Access(e.addr, core.Load)
+			switch {
+			case r.PortStall:
+				s.M.LoadPortRetries++
+				continue
+			case r.Hit:
+				s.setDone(e, s.now+int64(r.Latency))
+			case r.Bypass:
+				lat := s.L2.Access(e.addr)
+				s.setDone(e, s.now+int64(lat))
+			default:
+				slot := s.allocMSHR(lineOf(e.addr), false)
+				if slot == -1 {
+					continue
+				}
+				if len(s.mshrs[slot].loads) == cap(s.mshrs[slot].loads) {
+					continue
+				}
+				e.state = sWaitMem
+				e.doneAt = math.MaxInt64
+				s.doneRing[e.seq%doneRingSize] = math.MaxInt64
+				robSlot := (s.robHead + i) & s.robMask
+				s.mshrs[slot].loads = append(s.mshrs[slot].loads, robSlot)
+				if r.Expired {
+					s.M.Replays++
+					s.mshrs[slot].readyAt += int64(s.Cfg.ReplayPenalty)
+					if at := s.now + int64(s.Cfg.ReplayPenalty); at > s.fetchResumeAt {
+						s.fetchResumeAt = at
+					}
+				}
+			}
+			s.intIQ--
+			issued++
+		}
+	}
+	s.waiting = s.waiting[:0]
+	for i := 0; i < s.robLen; i++ {
+		if slot := (s.robHead + i) & s.robMask; s.rob[slot].state == sWaiting {
+			s.waiting = append(s.waiting, slot)
+		}
+	}
+	return !reached
+}
+
+// issueSetups are stepSetups plus plain LRU without refresh on the same
+// dead and short lines: the one scheme that keeps hitting lapsed lines,
+// so loads replay.
+var issueSetups = append(stepSetups[:len(stepSetups):len(stepSetups)],
+	stepSetup{"no-refresh-LRU", core.NoRefreshLRU, false})
+
+// TestIssueMatchesReferenceScan runs the waiting-list issue stage and the
+// full-ROB reference scan in lockstep, cycle by cycle, and requires the
+// two systems to agree on every metric, cache and L2 counter, and
+// pipeline register after every cycle. The setups make replays, DSP
+// bypasses, load-port stalls and width-limited branch resolution occur.
+func TestIssueMatchesReferenceScan(t *testing.T) {
+	cycles := 60_000
+	if testing.Short() {
+		cycles = 15_000
+	}
+	var replays, retries, bypasses, cuts uint64
+	for _, tc := range issueSetups {
+		for _, bench := range []string{"mcf", "gzip", "applu", "fma3d"} {
+			a := newStepSystem(t, bench, tc.scheme, tc.ideal, 7)
+			b := newStepSystem(t, bench, tc.scheme, tc.ideal, 7)
+			for c := 0; c < cycles; c++ {
+				a.Step()
+				if b.stepReference() {
+					cuts++
+				}
+				if err := sameIssueState(a, b); err != "" {
+					t.Fatalf("%s/%s: cycle %d: %s", tc.name, bench, c, err)
+				}
+			}
+			replays += a.M.Replays
+			retries += a.M.LoadPortRetries
+			bypasses += a.Cache.C.BypassedAccesses
+		}
+	}
+	if replays == 0 || retries == 0 || bypasses == 0 || cuts == 0 {
+		t.Errorf("paths not exercised: replays %d, port retries %d, bypasses %d, width-cut branch checks %d",
+			replays, retries, bypasses, cuts)
+	}
+}
+
+// sameIssueState describes the first difference between the two
+// systems' observable state, or returns "".
+func sameIssueState(a, b *System) string {
+	switch {
+	case a.M != b.M:
+		return fmt.Sprintf("metrics %+v vs reference %+v", a.M, b.M)
+	case a.Cache.C != b.Cache.C:
+		return fmt.Sprintf("cache counters %+v vs reference %+v", a.Cache.C, b.Cache.C)
+	case a.L2.Accesses != b.L2.Accesses || a.L2.Misses != b.L2.Misses || a.L2.Writes != b.L2.Writes:
+		return "L2 counters differ"
+	case a.fetchBlockedBy != b.fetchBlockedBy || a.fetchResumeAt != b.fetchResumeAt:
+		return fmt.Sprintf("fetch block %d@%d vs reference %d@%d",
+			a.fetchBlockedBy, a.fetchResumeAt, b.fetchBlockedBy, b.fetchResumeAt)
+	case a.robHead != b.robHead || a.robLen != b.robLen:
+		return fmt.Sprintf("ROB head/len %d/%d vs reference %d/%d", a.robHead, a.robLen, b.robHead, b.robLen)
+	case a.intIQ != b.intIQ || a.fpIQ != b.fpIQ:
+		return fmt.Sprintf("IQs %d/%d vs reference %d/%d", a.intIQ, a.fpIQ, b.intIQ, b.fpIQ)
+	case !slices.Equal(a.waiting, b.waiting):
+		return fmt.Sprintf("waiting %v vs reference %v", a.waiting, b.waiting)
+	}
+	return ""
+}
+
+// TestWaitingListInvariant checks after every Step that the waiting list
+// is exactly the ROB slots in sWaiting, oldest first, that its length
+// equals the two issue queues' occupancy, and that the ROB ring never
+// holds more than ROBSize entries.
+func TestWaitingListInvariant(t *testing.T) {
+	for _, tc := range issueSetups {
+		for _, bench := range []string{"mcf", "applu"} {
+			s := newStepSystem(t, bench, tc.scheme, tc.ideal, 3)
+			var want []int
+			for c := 0; c < 40_000; c++ {
+				s.Step()
+				want = want[:0]
+				for i := 0; i < s.robLen; i++ {
+					if slot := (s.robHead + i) & s.robMask; s.rob[slot].state == sWaiting {
+						want = append(want, slot)
+					}
+				}
+				if !slices.Equal(s.waiting, want) {
+					t.Fatalf("%s/%s: cycle %d: waiting %v, ROB has %v", tc.name, bench, c, s.waiting, want)
+				}
+				if len(s.waiting) != s.intIQ+s.fpIQ {
+					t.Fatalf("%s/%s: cycle %d: %d waiting, IQs hold %d+%d",
+						tc.name, bench, c, len(s.waiting), s.intIQ, s.fpIQ)
+				}
+				if s.robLen > s.Cfg.ROBSize {
+					t.Fatalf("%s/%s: cycle %d: ROB holds %d entries, capacity %d",
+						tc.name, bench, c, s.robLen, s.Cfg.ROBSize)
+				}
+			}
+		}
 	}
 }

@@ -194,6 +194,36 @@ func (r *RNG) Geometric(p float64) int {
 	return int(math.Log(u) / math.Log(1-p))
 }
 
+// Geometric is a geometric distribution with a fixed success
+// probability. It caches log(1-p), so a draw costs one logarithm instead
+// of RNG.Geometric's two, and returns exactly what RNG.Geometric(p)
+// returns from the same stream. Build one with NewGeometric.
+type Geometric struct {
+	p      float64
+	log1mp float64 // math.Log(1-p); unused when p == 1
+}
+
+// NewGeometric returns the geometric distribution with success
+// probability p in (0, 1]. It panics if p is outside that range.
+func NewGeometric(p float64) Geometric {
+	if p <= 0 || p > 1 {
+		panic("stats: Geometric with p outside (0,1]")
+	}
+	return Geometric{p: p, log1mp: math.Log(1 - p)}
+}
+
+// Sample draws the number of failures before the first success from r.
+func (g Geometric) Sample(r *RNG) int {
+	if g.p == 1 {
+		return 0
+	}
+	u := r.Float64()
+	for u == 0 {
+		u = r.Float64()
+	}
+	return int(math.Log(u) / g.log1mp)
+}
+
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p

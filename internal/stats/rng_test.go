@@ -198,6 +198,38 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
+// TestGeometricSampleMatchesRNGGeometric pins the cached sampler to the
+// uncached method: the same seed must give the same sequence, draw for
+// draw, across success probabilities including the p == 1 shortcut.
+func TestGeometricSampleMatchesRNGGeometric(t *testing.T) {
+	for _, p := range []float64{1, 0.5, 0.2, 1.0 / 3.3, 1.0 / 64, 1.0 / 150, 1e-6} {
+		a, b := NewRNG(41), NewRNG(41)
+		g := NewGeometric(p)
+		for i := 0; i < 100_000; i++ {
+			want := a.Geometric(p)
+			if got := g.Sample(b); got != want {
+				t.Fatalf("p=%v draw %d: Sample = %d, RNG.Geometric = %d", p, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("p=%v: the two paths consumed different amounts of the stream", p)
+		}
+	}
+}
+
+func TestNewGeometricPanicsOutOfRange(t *testing.T) {
+	for _, p := range []float64{0, -0.5, 1.5, math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewGeometric(%v) did not panic", p)
+				}
+			}()
+			NewGeometric(p)
+		}()
+	}
+}
+
 func TestBernoulliFrequency(t *testing.T) {
 	r := NewRNG(41)
 	hits := 0

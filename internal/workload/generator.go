@@ -21,6 +21,9 @@ const (
 type Generator struct {
 	p   Profile
 	rng *stats.RNG
+	// depDist and reuseDist are the profile's dependency-distance and
+	// block-reuse distributions, built once per Reset.
+	depDist, reuseDist stats.Geometric
 	// zipfRNG feeds funcPick for the generator's lifetime; scratch is
 	// reused for the child generators only needed during (re)seeding.
 	zipfRNG stats.RNG
@@ -102,6 +105,8 @@ func (g *Generator) Reset(p Profile, seed uint64) {
 		heapBlocks = 64
 	}
 	g.p = p
+	g.depDist = stats.NewGeometric(1 / p.DepMean)
+	g.reuseDist = stats.NewGeometric(1 / p.MeanReuse)
 	if g.rng == nil {
 		g.rng = stats.NewRNG(seed ^ 0xbadc0ffee)
 	} else {
@@ -285,7 +290,7 @@ func (g *Generator) Next() Instr {
 
 // depDistance samples a register-dependency distance (≥1).
 func (g *Generator) depDistance() int32 {
-	d := 1 + g.rng.Geometric(1/g.p.DepMean)
+	d := 1 + g.depDist.Sample(g.rng)
 	if d > 64 {
 		d = 64
 	}
@@ -337,7 +342,7 @@ func (g *Generator) address() uint64 {
 // freshBlock allocates a new generational block: usually a recycled
 // (L2-warm) address, otherwise a fresh one walking the footprint.
 func (g *Generator) freshBlock() activeBlock {
-	budget := int32(1 + g.rng.Geometric(1/g.p.MeanReuse))
+	budget := int32(1 + g.reuseDist.Sample(g.rng))
 	var addr uint32
 	if g.retiredLen > recycleMinAge && g.rng.Bernoulli(g.p.RecycleFrac) {
 		// Pick among the older ring entries only. While the ring is

@@ -203,7 +203,7 @@ func runAll(p *tdcache.ExperimentParams, f tdcache.ArtifactFormat, store *tdcach
 			if _, err := fmt.Fprintf(w, "# %s\n%s\n", sp.ID, data); err != nil {
 				return err
 			}
-		//enum:default FormatText is the classic ===== id ===== report; -format gates foreign values
+		// FormatText is the classic ===== id ===== report; -format gates foreign values.
 		default:
 			if _, err := fmt.Fprintf(w, "===== %s =====\n%s\n", sp.ID, data); err != nil {
 				return err

@@ -1,11 +1,11 @@
 // Command tdcache-lint is the determinism, physical-correctness,
 // concurrency-safety, and error-discipline lint suite: it runs the
-// four reproducibility analyzers (detrand, mapiter, resetcheck,
-// sweeppure), the two unit-discipline analyzers (unitflow, floatcmp),
-// the two interprocedural call-graph analyzers (hotpath, purecheck),
-// the three concurrency analyzers (lockcheck, atomiccheck, lifecycle),
-// and the three error-and-resource analyzers (errflow, closecheck,
-// exhaustcheck) over the repository and fails on any finding.
+// three reproducibility analyzers (detrand, mapiter, resetcheck), the
+// float-comparison analyzer (floatcmp), the two interprocedural
+// call-graph analyzers (hotpath, purecheck), the three concurrency
+// analyzers (lockcheck, atomiccheck, lifecycle), and the two
+// error-and-resource analyzers (errflow, closecheck) over the
+// repository and fails on any finding.
 // `tdcache-lint -list` prints the roster.
 //
 // Two invocation modes:
@@ -40,7 +40,6 @@ import (
 	"tdcache/internal/analysis/detrand"
 	"tdcache/internal/analysis/driver"
 	"tdcache/internal/analysis/errflow"
-	"tdcache/internal/analysis/exhaustcheck"
 	"tdcache/internal/analysis/floatcmp"
 	"tdcache/internal/analysis/framework"
 	"tdcache/internal/analysis/hotpath"
@@ -49,20 +48,17 @@ import (
 	"tdcache/internal/analysis/mapiter"
 	"tdcache/internal/analysis/purecheck"
 	"tdcache/internal/analysis/resetcheck"
-	"tdcache/internal/analysis/sweeppure"
-	"tdcache/internal/analysis/unitflow"
 )
 
-// analyzers is the full suite — the four determinism rules, the two
-// physical-correctness rules, the two call-graph rules, the three
-// concurrency rules, and the three error-and-resource rules — in
+// analyzers is the full suite — the three determinism rules, the
+// float-comparison rule, the two call-graph rules, the three
+// concurrency rules, and the two error-and-resource rules — in
 // reporting order.
 var analyzers = []*framework.Analyzer{
 	atomiccheck.Analyzer,
 	closecheck.Analyzer,
 	detrand.Analyzer,
 	errflow.Analyzer,
-	exhaustcheck.Analyzer,
 	floatcmp.Analyzer,
 	hotpath.Analyzer,
 	lifecycle.Analyzer,
@@ -70,8 +66,6 @@ var analyzers = []*framework.Analyzer{
 	mapiter.Analyzer,
 	purecheck.Analyzer,
 	resetcheck.Analyzer,
-	sweeppure.Analyzer,
-	unitflow.Analyzer,
 }
 
 func main() {

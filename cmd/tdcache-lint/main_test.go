@@ -67,13 +67,13 @@ func TestCollectMatchesCheckedInBaseline(t *testing.T) {
 }
 
 // TestRosterListsAllAnalyzers pins the `-list` surface: the suite is
-// exactly the fourteen rules the README documents, in sorted order,
+// exactly the eleven rules the README documents, in sorted order,
 // each with a usable one-line doc.
 func TestRosterListsAllAnalyzers(t *testing.T) {
 	want := []string{
-		"atomiccheck", "closecheck", "detrand", "errflow", "exhaustcheck",
-		"floatcmp", "hotpath", "lifecycle", "lockcheck", "mapiter",
-		"purecheck", "resetcheck", "sweeppure", "unitflow",
+		"atomiccheck", "closecheck", "detrand", "errflow", "floatcmp",
+		"hotpath", "lifecycle", "lockcheck", "mapiter", "purecheck",
+		"resetcheck",
 	}
 	if len(analyzers) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(analyzers), len(want))
@@ -106,7 +106,7 @@ func TestRosterListsAllAnalyzers(t *testing.T) {
 // and each baseline entry absorbs exactly one occurrence.
 func TestBaselineFiltering(t *testing.T) {
 	old := []finding{
-		{Rule: "unitflow", File: "a.go", Line: 10, Col: 2, Message: "magic scale factor"},
+		{Rule: "detrand", File: "a.go", Line: 10, Col: 2, Message: "ambient entropy"},
 		{Rule: "floatcmp", File: "b.go", Line: 3, Col: 9, Message: "float == comparison"},
 	}
 	data, err := json.Marshal(old)
@@ -124,7 +124,7 @@ func TestBaselineFiltering(t *testing.T) {
 
 	now := []finding{
 		// Same finding, shifted by an unrelated edit: suppressed.
-		{Rule: "unitflow", File: "a.go", Line: 42, Col: 7, Message: "magic scale factor"},
+		{Rule: "detrand", File: "a.go", Line: 42, Col: 7, Message: "ambient entropy"},
 		// Second occurrence of a baselined single occurrence: new.
 		{Rule: "floatcmp", File: "b.go", Line: 3, Col: 9, Message: "float == comparison"},
 		{Rule: "floatcmp", File: "b.go", Line: 8, Col: 1, Message: "float == comparison"},

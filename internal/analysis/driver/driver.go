@@ -423,7 +423,7 @@ type Context struct {
 	Imported func(path string) *framework.PackageSyntax
 	// Facts is the shared cross-package fact memo.
 	Facts *framework.FactStore
-	// AuditSuppressions enables the allowcheck hygiene pass after
+	// AuditSuppressions extends the allowcheck hygiene pass after
 	// filtering: stale `//lint:allow` directives (nothing suppressed)
 	// and surviving directives whose reason names no proof test become
 	// findings. Only the standalone lint lane sets it — it needs the
@@ -431,6 +431,8 @@ type Context struct {
 	// in vet mode, where analyzers degrade to intra-package facts, a
 	// live directive could look stale. analysistest leaves it off so
 	// single-analyzer fixture runs are not judged by suite-wide rules.
+	// Directives naming a rule outside the run's analyzers are
+	// reported either way.
 	AuditSuppressions bool
 
 	// lockMu guards the lazily-built per-analyzer lock table below.
@@ -502,16 +504,14 @@ func Run(analyzers []*framework.Analyzer, pkg *Package, ctx *Context) ([]framewo
 	}
 	sup := framework.CollectSuppressions(ctx.Fset, pkg.Files)
 	out := sup.Filter(diags)
-	if ctx.AuditSuppressions {
-		active := map[string]bool{framework.AllowCheckRule: true}
-		for _, a := range analyzers {
-			active[a.Name] = true
-		}
-		// Audit findings are themselves suppressible (`//lint:allow
-		// allowcheck <reason>` on the directive's line); allowcheck
-		// directives are exempt from the audit, so this terminates.
-		out = append(out, sup.Filter(sup.Audit(active))...)
+	roster := map[string]bool{framework.AllowCheckRule: true}
+	for _, a := range analyzers {
+		roster[a.Name] = true
 	}
+	// Audit findings are themselves suppressible (`//lint:allow
+	// allowcheck <reason>` on the directive's line); allowcheck
+	// directives are exempt from the audit, so this terminates.
+	out = append(out, sup.Filter(sup.Audit(roster, ctx.AuditSuppressions))...)
 	framework.SortDiagnostics(ctx.Fset, out)
 	return framework.DedupeDiagnostics(ctx.Fset, out), nil
 }

@@ -36,11 +36,9 @@ import (
 	"go/types"
 )
 
-// EdgeKind classifies how a callee is reached. The set is closed;
-// switches over EdgeKind must stay exhaustive so a new reference kind
-// surfaces every consumer.
-//
-//enum:closed
+// EdgeKind classifies how a callee is reached. The set is closed:
+// hotpath's TestEdgeKindDispatch drives every member below NumEdgeKinds
+// through its switch, so a new reference kind surfaces the consumer.
 type EdgeKind uint8
 
 const (
@@ -55,6 +53,8 @@ const (
 	EdgeMethodExpr
 	// EdgeFuncRef is a plain function referenced as a value.
 	EdgeFuncRef
+	// NumEdgeKinds counts the members above; add new kinds before it.
+	NumEdgeKinds = iota
 )
 
 // Edge is one static reference from a function to a callee.

@@ -233,9 +233,9 @@ func TestCallGraphSCCs(t *testing.T) {
 
 // TestCallGraphCrossPackageFacts pins the mechanism hotpath and
 // purecheck summaries ride on: a callee in another package resolves to
-// the same types.Object the declaring package's pass summarized, so a
-// namespaced FactStore entry written while analyzing the dependency is
-// readable from the importer's call edge.
+// the same types.Object the declaring package's graph node carries, so
+// a summary keyed by the node's function while analyzing the
+// dependency is found again from the importer's call edge.
 func TestCallGraphCrossPackageFacts(t *testing.T) {
 	fset := token.NewFileSet()
 	dep := typecheck(t, fset, "dep", `package dep
@@ -253,16 +253,16 @@ func caller() { dep.Exported() }
 	depNodes := g.AddPackage(dep)
 	g.AddPackage(use)
 
-	// "Analyze" dep: export a summary fact keyed by its function object.
-	facts := NewFactStore()
+	// "Analyze" dep: record a summary keyed by its function object.
 	type summary struct{ clean bool }
+	sums := make(map[*types.Func]*summary)
 	for _, n := range depNodes {
-		facts.SetObjectNS("testns", n.Fn, &summary{clean: true})
+		sums[n.Fn] = &summary{clean: true}
 	}
 
-	// From use's side, follow the call edge and read the fact back.
+	// From use's side, follow the call edge and find the summary again.
 	caller := nodeByName(t, g, "caller")
-	var callee types.Object
+	var callee *types.Func
 	for _, e := range caller.Edges {
 		if e.Kind == EdgeCall {
 			callee = e.Callee
@@ -274,13 +274,10 @@ func caller() { dep.Exported() }
 	if callee.Pkg().Path() != "dep" || callee.Name() != "Exported" {
 		t.Fatalf("callee = %v, want dep.Exported", callee)
 	}
-	v, ok := facts.ObjectNS("testns", callee)
-	got, isSum := v.(*summary)
-	if !ok || !isSum || !got.clean {
-		t.Errorf("fact for dep.Exported not readable through the call edge: %v, %v", v, ok)
+	if got := sums[callee]; got == nil || !got.clean {
+		t.Errorf("summary for dep.Exported not reachable through the call edge: %v", got)
 	}
-	// Namespaces are isolated: another analyzer's namespace sees nothing.
-	if v, ok := facts.ObjectNS("otherns", callee); ok {
-		t.Errorf("namespace leak: otherns sees %v", v)
+	if g.Node(callee) == nil {
+		t.Errorf("graph has no node for the cross-package callee %v", callee)
 	}
 }

@@ -192,31 +192,40 @@ func (s *Suppressions) Suppressed(d Diagnostic) bool {
 }
 
 // AllowCheckRule is the rule name under which Audit reports directive
-// hygiene findings (stale suppressions, reasons with no proof test).
+// hygiene findings (unknown rules, stale suppressions, reasons with no
+// proof test).
 const AllowCheckRule = "allowcheck"
 
 // proofRe matches a Go test or benchmark identifier inside a reason —
 // the "name your proof test" requirement for surviving suppressions.
 var proofRe = regexp.MustCompile(`\b(?:Test|Benchmark)\p{Lu}\w*`)
 
-// Audit reports on directive hygiene after a filtering run: a
-// directive for an active rule that suppressed nothing is stale (the
-// finding it excused is gone — delete it), and a surviving directive
-// must name the test that proves the excused behavior is safe.
-// Directives for the allowcheck rule itself are exempt (they suppress
-// meta-findings and have nothing to prove), as are directives for
-// rules outside active (their analyzer did not run, so "unused" means
-// nothing). Call only when the run had the complete view — every
-// analyzer whose rules appear in the files, with cross-package syntax
-// available — or degraded analyzers will make live directives look
-// stale; the driver gates this on Context.AuditSuppressions.
-func (s *Suppressions) Audit(active map[string]bool) []Diagnostic {
+// Audit reports on directive hygiene after a filtering run of the
+// analyzers in roster. A directive naming a rule outside roster excuses
+// nothing (its analyzer was deleted or the name is misspelled — delete
+// or fix it). With complete set, the run also had every analyzer and
+// cross-package syntax for every package, so two more checks are
+// sound: a directive that suppressed nothing is stale (the finding it
+// excused is gone — delete it), and a surviving directive must name
+// the test that proves the excused behavior is safe. Without it,
+// degraded analyzers would make live directives look stale; the driver
+// sets it from Context.AuditSuppressions. Directives for the
+// allowcheck rule itself are exempt (they suppress meta-findings and
+// have nothing to prove).
+func (s *Suppressions) Audit(roster map[string]bool, complete bool) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range s.directives {
-		if d.Rule == AllowCheckRule || !active[d.Rule] {
+		if d.Rule == AllowCheckRule {
 			continue
 		}
 		switch {
+		case !roster[d.Rule]:
+			out = append(out, Diagnostic{
+				Rule: AllowCheckRule, Pos: d.Pos,
+				Message: fmt.Sprintf("unknown rule %q: no analyzer in the roster has this name; delete the //lint:allow", d.Rule),
+			})
+		case !complete:
+			// Staleness and proof naming need the complete view.
 		case !d.used:
 			out = append(out, Diagnostic{
 				Rule: AllowCheckRule, Pos: d.Pos,

@@ -105,7 +105,7 @@ func f() {
 	a := 1 //lint:allow rulea excused; TestProofA pins the behavior
 	b := 2 //lint:allow rulea stale, nothing reported here anymore
 	c := 3 //lint:allow rulea excused but names no proof
-	d := 4 //lint:allow inactive rule not in this run
+	d := 4 //lint:allow retired the analyzer was deleted from the roster
 	e := 5 //lint:allow allowcheck meta-suppression is exempt from proof naming
 	_, _, _, _, _ = a, b, c, d, e
 }
@@ -125,23 +125,27 @@ func collectAudit(t *testing.T, filename, src string, suppressLines []int) []Dia
 			t.Fatalf("line %d: expected a rulea suppression to fire", line)
 		}
 	}
-	return s.Audit(map[string]bool{"rulea": true, AllowCheckRule: true})
+	return s.Audit(map[string]bool{"rulea": true, AllowCheckRule: true}, true)
 }
 
-// TestAuditSuppressionHygiene pins the two allowcheck findings: a
-// directive that suppressed nothing for an active rule is stale, and a
-// surviving non-test directive must name a Test…/Benchmark… proof.
+// TestAuditSuppressionHygiene pins the allowcheck findings: a
+// directive that suppressed nothing for a roster rule is stale, a
+// surviving non-test directive must name a Test…/Benchmark… proof, and
+// a directive for a rule outside the roster is unknown.
 func TestAuditSuppressionHygiene(t *testing.T) {
 	// Lines 4 and 6 suppress real findings; line 5 suppresses nothing.
 	out := collectAudit(t, "p.go", auditSrc, []int{4, 6})
-	if len(out) != 2 {
-		t.Fatalf("Audit returned %d findings, want 2: %+v", len(out), out)
+	if len(out) != 3 {
+		t.Fatalf("Audit returned %d findings, want 3: %+v", len(out), out)
 	}
 	if want := "stale suppression: no rulea finding"; !strings.Contains(out[0].Message, want) {
 		t.Errorf("finding 0 = %q, want prefix %q", out[0].Message, want)
 	}
 	if want := "must name its proof test"; !strings.Contains(out[1].Message, want) {
 		t.Errorf("finding 1 = %q, want %q", out[1].Message, want)
+	}
+	if want := `unknown rule "retired"`; !strings.Contains(out[2].Message, want) {
+		t.Errorf("finding 2 = %q, want %q", out[2].Message, want)
 	}
 	for _, d := range out {
 		if d.Rule != AllowCheckRule {
@@ -152,11 +156,42 @@ func TestAuditSuppressionHygiene(t *testing.T) {
 
 // TestAuditTestFileExemption: directives in _test.go files are exempt
 // from the proof-naming requirement (the test is the file itself) but
-// still flagged when stale.
+// still flagged when stale or naming an unknown rule.
 func TestAuditTestFileExemption(t *testing.T) {
 	out := collectAudit(t, "p_test.go", auditSrc, []int{4, 6})
-	if len(out) != 1 || !strings.Contains(out[0].Message, "stale suppression") {
-		t.Fatalf("Audit in _test.go = %+v, want only the stale finding", out)
+	if len(out) != 2 || !strings.Contains(out[0].Message, "stale suppression") ||
+		!strings.Contains(out[1].Message, "unknown rule") {
+		t.Fatalf("Audit in _test.go = %+v, want the stale and the unknown-rule findings", out)
+	}
+}
+
+// TestAuditFlagsUnknownRule: a directive for a rule no analyzer in the
+// roster carries — a leftover from a deleted analyzer, or a typo — can
+// never suppress anything, so the audit reports it at its own position
+// instead of letting it survive forever.
+func TestAuditFlagsUnknownRule(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", auditSrc, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The check needs only the roster, not the complete view, so it
+	// holds in the vet lane too: there it is the only audit finding.
+	for _, complete := range []bool{true, false} {
+		out := CollectSuppressions(fset, []*ast.File{f}).Audit(map[string]bool{"rulea": true, AllowCheckRule: true}, complete)
+		var unknown []Diagnostic
+		for _, d := range out {
+			if strings.Contains(d.Message, "unknown rule") {
+				unknown = append(unknown, d)
+			}
+		}
+		if len(unknown) != 1 || (!complete && len(out) != 1) {
+			t.Fatalf("complete=%v: Audit = %+v, want one unknown-rule finding (line 7)", complete, out)
+		}
+		d := unknown[0]
+		if d.Rule != AllowCheckRule || fset.Position(d.Pos).Line != 7 || !strings.Contains(d.Message, `"retired"`) {
+			t.Errorf("unknown-rule finding = %s, want [allowcheck] at line 7 naming \"retired\"", d.String(fset))
+		}
 	}
 }
 

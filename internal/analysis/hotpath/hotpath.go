@@ -70,10 +70,6 @@ var Analyzer = &framework.Analyzer{
 	Run: run,
 }
 
-// FactNS is the FactStore namespace under which per-function summaries
-// are exported for other passes (and the call-graph tests) to import.
-const FactNS = "hotpath"
-
 // tagRe matches the root tag line inside a declaration doc comment.
 var tagRe = regexp.MustCompile(`^//hotpath:\s*(.+)$`)
 
@@ -93,9 +89,9 @@ type Violation struct {
 	Desc string
 }
 
-// Summary is the per-function fact exported through the FactStore: the
-// function's tag (if any) and the violations in its own body. Edges to
-// other functions live in the call graph, not here.
+// Summary is the per-function fact: the function's tag (if any) and
+// the violations in its own body. Edges to other functions live in the
+// call graph, not here.
 type Summary struct {
 	// Reason is the //hotpath: tag text; empty for untagged functions.
 	Reason string
@@ -129,7 +125,7 @@ func stateOf(pass *framework.Pass) *state {
 
 func run(pass *framework.Pass) error {
 	st := stateOf(pass)
-	scan(st, &framework.PackageSyntax{Files: pass.Files, Pkg: pass.Pkg, Info: pass.Info}, pass.Facts)
+	scan(st, &framework.PackageSyntax{Files: pass.Files, Pkg: pass.Pkg, Info: pass.Info})
 	roots := st.taggedByPkg[pass.Pkg]
 	if len(roots) == 0 {
 		return nil
@@ -144,7 +140,7 @@ func run(pass *framework.Pass) error {
 }
 
 // scan adds one package to the graph and summarizes its functions.
-func scan(st *state, ps *framework.PackageSyntax, facts *framework.FactStore) {
+func scan(st *state, ps *framework.PackageSyntax) {
 	for _, node := range st.graph.AddPackage(ps) {
 		sum := summarize(node)
 		if node.Decl.Doc != nil {
@@ -157,7 +153,6 @@ func scan(st *state, ps *framework.PackageSyntax, facts *framework.FactStore) {
 			}
 		}
 		st.sums[node.Fn] = sum
-		facts.SetObjectNS(FactNS, node.Fn, sum)
 	}
 }
 
@@ -185,7 +180,7 @@ func expand(st *state, pass *framework.Pass) {
 					continue
 				}
 				if ps := pass.Imported(path); ps != nil {
-					scan(st, ps, pass.Facts)
+					scan(st, ps)
 					changed = true
 				} else {
 					st.noSyntax[path] = true

@@ -64,9 +64,6 @@ var Analyzer = &framework.Analyzer{
 	Run: run,
 }
 
-// FactNS is the FactStore namespace for exported function summaries.
-const FactNS = "purecheck"
-
 // sweepPath is the package whose Memo.Do receives kernels (and whose
 // own types are trusted engine plumbing).
 const sweepPath = "tdcache/internal/sweep"
@@ -77,8 +74,7 @@ type Fact struct {
 	Desc string
 }
 
-// Summary is the per-function purity fact exported through the
-// FactStore.
+// Summary is the per-function purity fact.
 type Summary struct {
 	// PkgWrites are writes to package-level state in this function's
 	// own body.
@@ -117,7 +113,7 @@ func stateOf(pass *framework.Pass) *state {
 
 func run(pass *framework.Pass) error {
 	st := stateOf(pass)
-	scan(st, &framework.PackageSyntax{Files: pass.Files, Pkg: pass.Pkg, Info: pass.Info}, pass.Facts)
+	scan(st, &framework.PackageSyntax{Files: pass.Files, Pkg: pass.Pkg, Info: pass.Info})
 
 	// Collect the kernels first; everything else is only worth doing
 	// when the package actually memoizes something.
@@ -151,11 +147,9 @@ func run(pass *framework.Pass) error {
 }
 
 // scan adds one package to the graph and summarizes its functions.
-func scan(st *state, ps *framework.PackageSyntax, facts *framework.FactStore) {
+func scan(st *state, ps *framework.PackageSyntax) {
 	for _, node := range st.graph.AddPackage(ps) {
-		fi := summarize(node)
-		st.info[node.Fn] = fi
-		facts.SetObjectNS(FactNS, node.Fn, fi.sum)
+		st.info[node.Fn] = summarize(node)
 	}
 }
 
@@ -181,7 +175,7 @@ func expand(st *state, pass *framework.Pass) {
 					continue
 				}
 				if ps := pass.Imported(path); ps != nil {
-					scan(st, ps, pass.Facts)
+					scan(st, ps)
 					changed = true
 				} else {
 					st.noSyntax[path] = true

@@ -30,9 +30,8 @@ import (
 const SchemaVersion = 1
 
 // Kind classifies an artifact by its role in the paper. The set is
-// closed; switches over Kind must stay exhaustive.
-//
-//enum:closed
+// closed: Kinds lists it, and TestKindDispatch checks the list against
+// the declarations below.
 type Kind string
 
 // The artifact kinds: paper figures, paper tables, in-text section
@@ -82,10 +81,9 @@ type Provenance struct {
 	Tech string `json:"tech"`
 }
 
-// ColKind is the cell type of a Column. The set is closed; switches
-// over ColKind must stay exhaustive.
-//
-//enum:closed
+// ColKind is the cell type of a Column. The set is closed:
+// TestColKindDispatch drives every declared member through each switch
+// over ColKind.
 type ColKind string
 
 // The column cell types.
@@ -170,7 +168,7 @@ func (c *Column) Len() int {
 		return len(c.S)
 	case ColInt:
 		return len(c.I)
-	//enum:default ColFloat and the zero Column both store in F (a decoded kindless column reads as float)
+	// ColFloat and the zero Column both store in F (a decoded kindless column reads as float).
 	default:
 		return len(c.F)
 	}
@@ -185,7 +183,7 @@ func (c *Column) Cell(i int) string {
 		return c.S[i]
 	case ColInt:
 		return formatInt(c.I[i])
-	//enum:default ColFloat and the zero Column both store in F (a decoded kindless column reads as float)
+	// ColFloat and the zero Column both store in F (a decoded kindless column reads as float).
 	default:
 		return formatFloat(c.F[i])
 	}

@@ -10,11 +10,10 @@ import (
 	"text/tabwriter"
 )
 
-// Format selects an artifact encoding. The set is closed: every
-// switch over Format must handle all three encodings (or annotate its
-// default), so adding a fourth format surfaces every dispatch site.
-//
-//enum:closed
+// Format selects an artifact encoding. The set is closed: Formats
+// lists it, and TestFormatDispatch (here and in cmd/tdcache-experiments)
+// drives every member through each switch over Format, so adding a
+// fourth format surfaces every dispatch site.
 type Format string
 
 // The supported output formats.
@@ -23,6 +22,11 @@ const (
 	FormatJSON Format = "json"
 	FormatCSV  Format = "csv"
 )
+
+// Formats lists the supported output formats.
+func Formats() []Format {
+	return []Format{FormatText, FormatJSON, FormatCSV}
+}
 
 // ParseFormat validates a user-supplied format name.
 func ParseFormat(s string) (Format, error) {
@@ -40,7 +44,7 @@ func (f Format) ContentType() string {
 		return "application/json"
 	case FormatCSV:
 		return "text/csv; charset=utf-8"
-	//enum:default FormatText is plain text, and so is the safest rendering of any foreign value
+	// FormatText is plain text, and so is the safest rendering of any foreign value.
 	default:
 		return "text/plain; charset=utf-8"
 	}
@@ -53,7 +57,7 @@ func (f Format) Ext() string {
 		return "json"
 	case FormatCSV:
 		return "csv"
-	//enum:default FormatText stores as .txt; foreign values never reach the store (ParseFormat gates them)
+	// FormatText stores as .txt; foreign values never reach the store (ParseFormat gates them).
 	default:
 		return "txt"
 	}

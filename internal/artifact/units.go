@@ -4,9 +4,8 @@ package artifact
 // repo's artifacts is one of these named constants, so the schema stays
 // a closed set that Validate can check and downstream consumers can
 // switch on. Each constant carries the unit it names as its own
-// //unit: tag; the tags both document the vocabulary in the same
-// grammar the unitflow analyzer speaks and opt this package into the
-// unitflow completeness lanes.
+// //unit: tag, documenting the vocabulary in the same grammar the
+// simulator's quantities use.
 const (
 	// UnitNone marks label columns and unitless identifiers.
 	UnitNone = "" //unit:dimensionless

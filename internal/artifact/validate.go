@@ -82,7 +82,7 @@ func (c *Column) checkStorage() error {
 		if c.S != nil || c.I != nil {
 			return errorf("float column carries non-float storage")
 		}
-	//enum:default all members are handled above; a foreign kind (corrupt JSON) is a validation error
+	// All members are handled above; a foreign kind (corrupt JSON) is a validation error.
 	default:
 		return errorf("unknown column kind %q", c.Kind)
 	}

@@ -5,9 +5,8 @@ import "sort"
 // Corner identifies a process corner for a backend's access-time curve:
 // the Fig. 4 family plots nominal, weak (slow read path), and strong
 // (fast read path) cells against the 6T reference line. The set is
-// closed; switches over Corner must stay exhaustive.
-//
-//enum:closed
+// closed: TestCornerDispatch drives every member below numCorners
+// through each switch over Corner.
 type Corner int
 
 // The three plotted process corners.
@@ -18,6 +17,8 @@ const (
 	CornerWeak
 	// CornerStrong is the fast read-path corner (-1σ typical variation).
 	CornerStrong
+	// numCorners counts the members above; add new corners before it.
+	numCorners = iota
 )
 
 // String names the corner.
@@ -34,10 +35,9 @@ func (c Corner) String() string {
 }
 
 // PolicyKind classifies how a backend's retention should be exploited
-// by the architecture layers. The set is closed; switches over
-// PolicyKind must stay exhaustive.
-//
-//enum:closed
+// by the architecture layers. The set is closed: TestPolicyKindDispatch
+// (here and in internal/montecarlo) drives every member below
+// NumPolicyKinds through each switch over PolicyKind.
 type PolicyKind int
 
 const (
@@ -50,6 +50,8 @@ const (
 	// cells): the counter step is anchored to an architectural deadline
 	// shared by every chip, so class asymmetry survives quantization.
 	PolicyClassDeadline
+	// NumPolicyKinds counts the members above; add new kinds before it.
+	NumPolicyKinds = iota
 )
 
 // String names the policy kind.

@@ -195,3 +195,33 @@ func TestWithHiWaysDoesNotMutate(t *testing.T) {
 		t.Errorf("variant = %+v, want HiWays=0 with other fields preserved", v)
 	}
 }
+
+// TestSTTRAMAccessTimeCurve pins the STT-RAM Fig. 4 curve in seconds.
+// Each corner's retention sits at its documented scale (relaxed class
+// ≈ 26.5 µs, the weak corner below it, the high-retention class
+// ≈ 2.7 ms); reads are flat at half the retention and diverge at twice
+// it. A time compared or returned in the wrong unit moves one of these
+// by orders of magnitude.
+func TestSTTRAMAccessTimeCurve(t *testing.T) {
+	b := STTRAMBackend
+	flat := Node32.AccessTime6T * b.ReadFactor
+	for _, tc := range []struct {
+		c      Corner
+		lo, hi float64 // retention bounds, seconds
+	}{
+		{CornerNominal, 25e-6, 28e-6},
+		{CornerWeak, 5e-6, 25e-6},
+		{CornerStrong, 2.5e-3, 2.9e-3},
+	} {
+		ret := b.cornerRetention(tc.c)
+		if ret < tc.lo || ret > tc.hi {
+			t.Errorf("%v: retention %g s outside [%g, %g] s", tc.c, ret, tc.lo, tc.hi)
+		}
+		if got := b.AccessTime(Node32, tc.c, ret/2); math.Abs(got-flat) > 1e-6*flat {
+			t.Errorf("%v: access at retention/2 = %g s, want the flat %g s", tc.c, got, flat)
+		}
+		if got := b.AccessTime(Node32, tc.c, 2*ret); got < 10*flat {
+			t.Errorf("%v: access at 2×retention = %g s, want the diverged read (> %g s)", tc.c, got, 10*flat)
+		}
+	}
+}

@@ -1,12 +1,13 @@
 package circuit
 
-// Named unit-conversion constants. The unitflow analyzer treats
-// prefixed units (nanoseconds, gigahertz, ...) as bases independent of
-// their SI parent, so crossing between them must go through one of
-// these constants — a bare "* 1e9" is flagged as a magic scale factor.
-// Each constant carries the unit of the conversion itself, which makes
-// the arithmetic dimensionally closed: seconds × SecondsToNano =
-// nanoseconds.
+// Named unit-conversion constants. Crossing between a unit and its
+// prefixed form (seconds and nanoseconds, hertz and gigahertz, ...)
+// goes through one of these constants rather than a bare "* 1e9", so
+// every scale change names the units it converts between. Each
+// constant carries the unit of the conversion itself as its //unit:
+// tag (documentation; no tool checks it), which keeps the arithmetic
+// dimensionally closed on paper: seconds × SecondsToNano = nanoseconds.
+// The goldens catch a wrong or missing factor on a reported quantity.
 const (
 	// SecondsToMicro converts a time in seconds to microseconds.
 	SecondsToMicro = 1e6 //unit:microseconds/seconds

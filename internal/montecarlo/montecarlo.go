@@ -198,7 +198,9 @@ func (s *Study) DiscardRate() float64 {
 }
 
 // Column extracts one per-chip metric as a slice (ordered by index).
-func (s *Study) Column(f func(*Chip) float64) []float64 { //lint:allow unitflow element unit depends on the metric extractor; TestColumnAndSummary pins the unit contract per column
+// The element unit is the extractor's; TestColumnAndSummary pins it
+// per column.
+func (s *Study) Column(f func(*Chip) float64) []float64 {
 	out := make([]float64, len(s.Chips))
 	for i := range s.Chips {
 		out[i] = f(&s.Chips[i])

@@ -149,3 +149,30 @@ func TestColumnAndSummary(t *testing.T) {
 		t.Errorf("summary %+v", sum)
 	}
 }
+
+// policyBackend is the reference 3T1D backend with its policy kind
+// replaced, so one study per PolicyKind exercises the counter-step
+// switch in evaluate.
+type policyBackend struct {
+	circuit.CellBackend
+	kind circuit.PolicyKind
+}
+
+func (b policyBackend) Policy() circuit.Policy {
+	return circuit.Policy{Kind: b.kind, RetentionClasses: 1,
+		CounterDeadlineSec: circuit.STTRAMBackend.Policy().CounterDeadlineSec}
+}
+
+// TestPolicyKindDispatch drives every PolicyKind through evaluate's
+// counter-step switch: a kind with no arm leaves the step at zero.
+func TestPolicyKindDispatch(t *testing.T) {
+	for k := circuit.PolicyKind(0); k < circuit.NumPolicyKinds; k++ {
+		s := New(Options{Tech: circuit.Node32, Scenario: variation.Typical, Seed: 99, Chips: 2,
+			Backend: policyBackend{CellBackend: circuit.Backend3T1D, kind: k}})
+		for i, c := range s.Chips {
+			if c.CounterStep <= 0 {
+				t.Errorf("%v: chip %d counter step %d: evaluate has no arm for this policy kind", k, i, c.CounterStep)
+			}
+		}
+	}
+}

@@ -13,9 +13,12 @@ import (
 	"runtime"
 	"testing"
 
+	"tdcache/internal/circuit"
 	"tdcache/internal/core"
 	"tdcache/internal/cpu"
 	"tdcache/internal/experiments"
+	"tdcache/internal/stats"
+	"tdcache/internal/variation"
 	"tdcache/internal/workload"
 )
 
@@ -201,6 +204,28 @@ func BenchmarkChipRetentionMap(b *testing.B) {
 		chip := SampleChip(Severe, uint64(i+1))
 		if chip.Retention == nil {
 			b.Fatal("no retention map")
+		}
+	}
+}
+
+// BenchmarkRetentionMap measures the cell-retention layer alone: one
+// ChipEval.RetentionMap per iteration, per backend and scenario, on a
+// fresh chip each time (a kernel that cached across chips would not
+// show up as faster here).
+func BenchmarkRetentionMap(b *testing.B) {
+	for _, backend := range []circuit.CellBackend{circuit.Backend3T1D, circuit.STTRAMBackend} {
+		for _, sc := range []variation.Scenario{variation.Typical, variation.Severe} {
+			b.Run(backend.Name()+"/"+sc.Name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					chip := variation.NewChip(stats.NewRNG(uint64(i+1)), i, sc, circuit.L1D.TileCols, circuit.L1D.TileRows)
+					e := circuit.NewChipEval(circuit.Node32, circuit.L1D, chip)
+					e.Backend = backend
+					if m := e.RetentionMap(); len(m) != circuit.L1D.Lines {
+						b.Fatalf("map has %d lines", len(m))
+					}
+				}
+			})
 		}
 	}
 }

@@ -4,7 +4,7 @@ import "tdcache/internal/variation"
 
 // Backend3T1D is the reference CellBackend: the paper's 3T1D dynamic
 // cell, delegating to the calibrated decay model in cell3t1d.go and the
-// hoisted Monte-Carlo kernel in chipeval.go. It is a zero-size value
+// bound-and-skip Monte-Carlo kernel in chipeval.go. It is a zero-size value
 // pre-bound into a package-level interface variable, so handing it to a
 // ChipEval or a montecarlo.Options never allocates.
 var Backend3T1D CellBackend = backend3T1D{}
@@ -21,22 +21,27 @@ func (backend3T1D) Name() string { return DefaultBackendName }
 //unit:result seconds
 func (backend3T1D) NominalRetention(t Tech) float64 { return t.Retention3T1D }
 
-// LineRetention delegates to the hoisted hot kernel.
+// LineRetention evaluates one line through the bound-and-skip kernel.
 //
 //unit:result seconds
 func (backend3T1D) LineRetention(e ChipEval, line int) float64 {
-	return e.lineRetention3T1D(line)
+	var k retention3T1D
+	k.init(&e)
+	return k.line(line)
 }
 
-// RetentionMap evaluates every line through the hoisted kernel. The
-// per-line loop runs inside the backend so the interface is crossed
-// once per chip, not once per line.
+// RetentionMap evaluates every line through the bound-and-skip kernel,
+// which rebuilds its bound tables once per tile pair. The per-line
+// loop runs inside the backend so the interface is crossed once per
+// chip, not once per line.
 //
 //unit:result seconds
 func (backend3T1D) RetentionMap(e ChipEval) []float64 {
 	m := make([]float64, e.Geom.Lines)
+	var k retention3T1D
+	k.init(&e)
 	for l := range m {
-		m[l] = e.lineRetention3T1D(l)
+		m[l] = k.line(l)
 	}
 	return m
 }

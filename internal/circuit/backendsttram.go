@@ -3,6 +3,7 @@ package circuit
 import (
 	"math"
 
+	"tdcache/internal/stats"
 	"tdcache/internal/variation"
 )
 
@@ -133,22 +134,47 @@ func (b *STTRAM) NominalRetention(t Tech) float64 {
 // tag cells, one exp at the end (min of exp = exp of min, which keeps
 // the 544-cell loop transcendental-free).
 //
+// Where nom·sys·DeltaSigmaScale > 0 and σ > 0, Δ = nom·sys·(1+k·σ·z)
+// is non-decreasing in the cell's Gaussian z, in floating point as in
+// the reals, so Δ at the lower bound of z's hash bucket
+// (stats.GaussBucketBounds) is a lower bound on the cell's Δ. A cell
+// whose bound is at or above the running minimum cannot lower it and
+// skips its InvNormCDF. The result is bit-identical to evaluating every
+// cell: the bound only decides whether a cell is evaluated.
+//
 //unit:result seconds
 func (b *STTRAM) LineRetention(e ChipEval, line int) float64 {
 	x0, x1, y := e.Geom.LineTiles(line)
-	sys0 := 1 + b.DeltaLSens*e.Chip.DeltaL(x0, y)
-	sys1 := 1 + b.DeltaLSens*e.Chip.DeltaL(x1, y)
 	nom := b.classDelta(e.Geom, line)
+	nomSys := [2]float64{
+		nom * (1 + b.DeltaLSens*e.Chip.DeltaL(x0, y)),
+		nom * (1 + b.DeltaLSens*e.Chip.DeltaL(x1, y)),
+	}
+	sigma := e.Chip.Scenario.SigmaVth
+	seed := e.Chip.Seed()
+	k := b.DeltaSigmaScale
+	bounded := [2]bool{sigma > 0 && nomSys[0]*k > 0, sigma > 0 && nomSys[1]*k > 0}
 	total := e.Geom.CellsPerLine + e.Geom.TagBits
 	half := e.Geom.CellsPerLine / 2
+	base := uint64(line) * uint64(total) // cellID of the line's cell 0
 	minDelta := math.Inf(1)
 	for cell := 0; cell < total; cell++ {
-		sys := sys0
+		h := 0
 		if cell >= half && cell < e.Geom.CellsPerLine {
-			sys = sys1 // second half of the data bits lives in the pair's other array
+			h = 1 // second half of the data bits lives in the pair's other array
 		}
-		dv := e.Chip.DeltaVth(e.cellID(line, cell), slotMTJ)
-		delta := nom * sys * (1 + b.DeltaSigmaScale*dv)
+		var dv float64
+		if sigma != 0 {
+			m := stats.HashBits53(seed, stats.Mix64(base+uint64(cell), uint64(slotMTJ)))
+			if bounded[h] {
+				lo, _ := stats.GaussBucketBounds(stats.GaussBucket(m))
+				if nomSys[h]*(1+k*(sigma*lo)) >= minDelta {
+					continue
+				}
+			}
+			dv = sigma * stats.InvNormCDF(stats.Bits53Uniform(m))
+		}
+		delta := nomSys[h] * (1 + k*dv)
 		if delta < minDelta {
 			minDelta = delta
 		}

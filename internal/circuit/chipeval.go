@@ -113,33 +113,130 @@ func (e ChipEval) LineRetention(line int) float64 {
 	return e.ActiveBackend().LineRetention(e, line)
 }
 
-// lineRetention3T1D is the 3T1D backend's line kernel: a hoisted form
-// algebraically identical to Tech.RetentionTime (asserted by tests)
-// because this is the hot path of every Monte-Carlo study.
+// boundSlackVolts is subtracted from the margin bound of every cell in
+// the 3T1D kernel. It covers what keeps the bound from being an exact
+// floating-point lower bound: math.Log/math.Exp are not correctly
+// rounded (a 1-ulp non-monotonicity, ~1e-16 V on a ~0.5 V level) and
+// the bound multiplies by 1/retLeak where the exact path divides.
+const boundSlackVolts = 1e-9
+
+// retention3T1D is the 3T1D backend's line kernel: bound and skip.
+//
+// A line's retention is the minimum over its cells, and only the few
+// tail cells near that minimum can set it. Each cell's three threshold
+// draws g = σ·InvNormCDF(m/2^53) come from 53-bit hash integers m; the
+// kernel buckets m (stats.GaussBucket) before it pays for any
+// transcendental, and stats.GaussBucketBounds gives lo ≤ z ≤ hi for the
+// bucket. Retention falls with g2 and g3 (they raise the required level
+// vreq) and, through the stored level v0, with g1; but g1 also slows the
+// T1 leak, so the bound takes v0 at g1's upper bound and 1/retLeak at
+// its lower one:
+//
+//	r ≥ (v0(σ·hi1) − vreq(σ·hi2, σ·hi3) − ε) · invDecay · invLeak(σ·lo1)
+//
+// where ε = boundSlackVolts and the stats bounds carry their own slack
+// (larger than Acklam's 4.4e-9 branch jump). The T3 required-level
+// scale and the T1 leak factor are tabulated per tile at every bucket's
+// bound (scaleHi, invLeakLo), so a cell costs three hashes, three
+// bucket lookups and a few flops. A cell whose bound is at or above the
+// line's running minimum cannot lower it and is skipped; every other
+// cell runs the exact expressions of cellRetention. The output is
+// bit-identical to evaluating every cell, not merely close: the bound
+// only decides whether a cell is evaluated, and the cell order, the
+// strict r < min update and the dead-cell break are unchanged. Dead
+// cells are never skipped: a non-positive margin gives a negative bound,
+// and a non-positive stored level is caught by testing v0's bound.
+//
+// The tables are fixed-size arrays rebuilt once per tile pair (the 16
+// consecutive lines that share one), so the kernel lives on its
+// caller's stack and allocates nothing.
+type retention3T1D struct {
+	tech  Tech
+	geom  Geometry
+	chip  *variation.Chip
+	seed  uint64
+	sigma float64
+	tiles [3]int // (x0, x1, y) the per-tile state below was built for
+	p     [2]tileParams
+	// monotone records that the technology's signs make the retention
+	// fall with g2, g3 and v0 and rise with 1/retLeak (and σ > 0).
+	// bounded adds the tile's decay scale being positive. Where either
+	// fails, the tile's cells all run the exact path.
+	monotone  bool
+	bounded   [2]bool
+	scaleHi   [2][stats.GaussBuckets]float64 // T3 scale at σ·hi
+	invLeakLo [2][stats.GaussBuckets]float64 // T1 1/retLeak at σ·lo
+}
+
+func (k *retention3T1D) init(e *ChipEval) {
+	k.tech = e.Tech
+	k.geom = e.Geom
+	k.chip = e.Chip
+	k.seed = e.Chip.Seed()
+	k.sigma = e.Chip.Scenario.SigmaVth
+	t := &k.tech
+	k.monotone = k.sigma > 0 && t.Vth0 > 0 && t.Alpha > 0 && t.T3Weight >= 0 && t.DiodeBoost > 0 && t.RetLeakSens > 0
+	k.tiles = [3]int{-1, -1, -1}
+}
+
+// buildTile fills tile half h's parameters and bound tables.
+func (k *retention3T1D) buildTile(h, tx, ty int) {
+	t := &k.tech
+	p := &k.p[h]
+	*p = newTileParams(t, k.chip.DeltaL(tx, ty))
+	k.bounded[h] = k.monotone && p.invDecay > 0
+	if !k.bounded[h] {
+		return
+	}
+	for b := range k.scaleHi[h] {
+		lo, hi := stats.GaussBucketBounds(b)
+		k.scaleHi[h][b] = p.scale(t, k.sigma*hi)
+		k.invLeakLo[h][b] = 1 / p.retLeak(t, t.Vth0*(1+k.sigma*lo)+p.vthShift)
+	}
+}
+
+// line returns the line's retention in seconds.
 //
 //unit:result seconds
-func (e ChipEval) lineRetention3T1D(line int) float64 {
-	x0, x1, y := e.Geom.LineTiles(line)
-	p0 := e.tileParams(x0, y)
-	p1 := e.tileParams(x1, y)
+func (k *retention3T1D) line(line int) float64 {
+	x0, x1, y := k.geom.LineTiles(line)
+	if tiles := [3]int{x0, x1, y}; tiles != k.tiles {
+		k.buildTile(0, x0, y)
+		k.buildTile(1, x1, y)
+		k.tiles = tiles
+	}
+	t := &k.tech
 	min := math.Inf(1)
-	total := e.Geom.CellsPerLine + e.Geom.TagBits
-	half := e.Geom.CellsPerLine / 2
-	sigma := e.Chip.Scenario.SigmaVth
-	seed := e.Chip.Seed()
+	total := k.geom.CellsPerLine + k.geom.TagBits
+	half := k.geom.CellsPerLine / 2
+	base := uint64(line) * uint64(total) // cellID of the line's cell 0
 	for cell := 0; cell < total; cell++ {
-		p := &p0
-		if cell >= half && cell < e.Geom.CellsPerLine {
-			p = &p1 // second half of the data bits lives in the pair's other array
+		h := 0
+		if cell >= half && cell < k.geom.CellsPerLine {
+			h = 1 // second half of the data bits lives in the pair's other array
 		}
-		id := e.cellID(line, cell)
+		p := &k.p[h]
+		id := base + uint64(cell)
 		var g1, g2, g3 float64
-		if sigma != 0 {
-			g1 = sigma * stats.HashGaussian(seed, stats.Mix64(id, uint64(slotT1)))
-			g2 = sigma * stats.HashGaussian(seed, stats.Mix64(id, uint64(slotT2)))
-			g3 = sigma * stats.HashGaussian(seed, stats.Mix64(id, uint64(slotT3)))
+		if k.sigma != 0 {
+			m1 := stats.HashBits53(k.seed, stats.Mix64(id, uint64(slotT1)))
+			m2 := stats.HashBits53(k.seed, stats.Mix64(id, uint64(slotT2)))
+			m3 := stats.HashBits53(k.seed, stats.Mix64(id, uint64(slotT3)))
+			if k.bounded[h] {
+				b1 := stats.GaussBucket(m1)
+				_, hi1 := stats.GaussBucketBounds(b1)
+				_, hi2 := stats.GaussBucketBounds(stats.GaussBucket(m2))
+				v0 := t.Vdd - (t.Vth0*(1+k.sigma*hi1) + p.vthShift)
+				vreq := (t.Vth0*(1+k.sigma*hi2) + p.vthShift + p.overNom*k.scaleHi[h][stats.GaussBucket(m3)]) / t.DiodeBoost
+				if v0 > 0 && (v0-vreq-boundSlackVolts)*p.invDecay*k.invLeakLo[h][b1] >= min {
+					continue // r ≥ bound ≥ min: the cell cannot lower the line's retention
+				}
+			}
+			g1 = k.sigma * stats.InvNormCDF(stats.Bits53Uniform(m1))
+			g2 = k.sigma * stats.InvNormCDF(stats.Bits53Uniform(m2))
+			g3 = k.sigma * stats.InvNormCDF(stats.Bits53Uniform(m3))
 		}
-		if r := e.cellRetention(p, g1, g2, g3); r < min {
+		if r := cellRetention(t, p, g1, g2, g3); r < min {
 			min = r
 			if min == 0 {
 				break // a dead cell kills the whole line; no need to keep scanning
@@ -152,18 +249,18 @@ func (e ChipEval) lineRetention3T1D(line int) float64 {
 // tileParams holds the per-tile (systematic) quantities hoisted out of
 // the per-cell retention kernel.
 type tileParams struct {
-	dL       float64 //unit:dimensionless // gate-length deviation of the tile
 	vthShift float64 //unit:volts // SCE·dL·Vth0, added to every device threshold
 	ln1pdL   float64 // ln(1+dL)
 	invDecay float64 //unit:seconds/volts // T0 / (margin0 · (1+dL)^-1), Vth part applied per cell
-	vreqNom  float64 //unit:volts // nominal required storage level
 	overNom  float64 //unit:volts // nominal T2 gate overdrive at the crossing
 	lnOver3  float64 // ln of nominal T3 overdrive, for the drive-factor log
 }
 
-func (e ChipEval) tileParams(tx, ty int) tileParams {
-	t := e.Tech
-	dL := e.Chip.DeltaL(tx, ty)
+// newTileParams hoists the quantities of a tile with gate-length
+// deviation dL.
+//
+//unit:param dL dimensionless
+func newTileParams(t *Tech, dL float64) tileParams {
 	v0n := t.nominalStoredLevel()
 	vreqNom := v0n * (1 - t.MarginFrac)
 	overNom := t.DiodeBoost*vreqNom - t.Vth0
@@ -171,14 +268,36 @@ func (e ChipEval) tileParams(tx, ty int) tileParams {
 		overNom = 0.05
 	}
 	return tileParams{
-		dL:       dL,
 		vthShift: t.SCE * dL * t.Vth0,
 		ln1pdL:   math.Log1p(dL),
 		invDecay: t.Retention3T1D / (v0n * t.MarginFrac) * (1 + dL),
-		vreqNom:  vreqNom,
 		overNom:  overNom,
 		lnOver3:  math.Log(t.Vdd - t.Vth0),
 	}
+}
+
+// scale is the required-level scale (DF3^-T3Weight · (1+dL))^(1/α) of
+// a T3 with threshold deviation g3, its drive factor taken in log
+// space: α·ln(over/overNom) - ln(1+dL). It is non-decreasing in g3.
+//
+//unit:param g3 dimensionless
+//unit:result dimensionless
+func (p *tileParams) scale(t *Tech, g3 float64) float64 {
+	over3 := t.Vdd - (t.Vth0*(1+g3) + p.vthShift)
+	if over3 < 1e-3 {
+		over3 = 1e-3
+	}
+	lnDF3 := t.Alpha*(math.Log(over3)-p.lnOver3) - p.ln1pdL
+	return math.Exp((-t.T3Weight*lnDF3 + p.ln1pdL) / t.Alpha)
+}
+
+// retLeak is retLeakFactor(T1) without its (1+dL), which invDecay
+// carries: the Vth exponential of a T1 with threshold vth1.
+//
+//unit:param vth1 volts
+//unit:result dimensionless
+func (p *tileParams) retLeak(t *Tech, vth1 float64) float64 {
+	return math.Exp(-(vth1 - t.Vth0) / t.RetLeakSens)
 }
 
 // cellRetention is the hoisted equivalent of Tech.RetentionTime for a
@@ -189,31 +308,21 @@ func (e ChipEval) tileParams(tx, ty int) tileParams {
 //unit:param g2 dimensionless
 //unit:param g3 dimensionless
 //unit:result seconds
-func (e ChipEval) cellRetention(p *tileParams, g1, g2, g3 float64) float64 {
-	t := e.Tech
+func cellRetention(t *Tech, p *tileParams, g1, g2, g3 float64) float64 {
 	// T1: stored level and decay corner.
 	vth1 := t.Vth0*(1+g1) + p.vthShift
 	v0 := t.Vdd - vth1
 	if v0 <= 0 {
 		return 0
 	}
-	// T3 drive factor in log space: α·ln(over/overNom) - ln(1+dL).
-	over3 := t.Vdd - (t.Vth0*(1+g3) + p.vthShift)
-	if over3 < 1e-3 {
-		over3 = 1e-3
-	}
-	lnDF3 := t.Alpha*(math.Log(over3)-p.lnOver3) - p.ln1pdL
-	// Required-level scale: (DF3^-T3Weight · (1+dL))^(1/α).
-	scale := math.Exp((-t.T3Weight*lnDF3 + p.ln1pdL) / t.Alpha)
-	vreq := (t.Vth0*(1+g2) + p.vthShift + p.overNom*scale) / t.DiodeBoost
+	vreq := (t.Vth0*(1+g2) + p.vthShift + p.overNom*p.scale(t, g3)) / t.DiodeBoost
 	margin := v0 - vreq
 	if margin <= 0 {
 		return 0
 	}
 	// Decay: margin0/T0 · retLeakFactor(T1); retLeakFactor's (1+dL) is
 	// folded into invDecay, leaving the Vth exponential per cell.
-	retLeak := math.Exp(-(vth1 - t.Vth0) / t.RetLeakSens)
-	return margin * p.invDecay / retLeak
+	return margin * p.invDecay / p.retLeak(t, vth1)
 }
 
 // RetentionMap returns the retention time of every line, in seconds,
@@ -234,15 +343,15 @@ func (e ChipEval) CellLeakageFactor() float64 {
 }
 
 // CacheRetention returns the whole-cache retention under the global
-// scheme: the minimum line retention (§4.3 — "the memory cell with the
-// shortest retention time determines the retention time of the entire
-// structure").
+// scheme: the minimum of the retention map (§4.3 — "the memory cell
+// with the shortest retention time determines the retention time of
+// the entire structure").
 //
 //unit:result seconds
 func (e ChipEval) CacheRetention() float64 {
 	min := math.Inf(1)
-	for l := 0; l < e.Geom.Lines; l++ {
-		if r := e.LineRetention(l); r < min {
+	for _, r := range e.RetentionMap() {
+		if r < min {
 			min = r
 		}
 	}

@@ -183,9 +183,114 @@ func TestSevereWorseThanTypical(t *testing.T) {
 	}
 }
 
+// refLineRetention3T1D is the unbounded 3T1D line kernel the
+// bound-and-skip kernel replaced: every cell's three draws and exact
+// retention, in cell order. It is the test-only reference the fast
+// kernel must match bit for bit.
+func refLineRetention3T1D(e ChipEval, line int) float64 {
+	x0, x1, y := e.Geom.LineTiles(line)
+	p0 := newTileParams(&e.Tech, e.Chip.DeltaL(x0, y))
+	p1 := newTileParams(&e.Tech, e.Chip.DeltaL(x1, y))
+	min := math.Inf(1)
+	total := e.Geom.CellsPerLine + e.Geom.TagBits
+	half := e.Geom.CellsPerLine / 2
+	sigma := e.Chip.Scenario.SigmaVth
+	seed := e.Chip.Seed()
+	for cell := 0; cell < total; cell++ {
+		p := &p0
+		if cell >= half && cell < e.Geom.CellsPerLine {
+			p = &p1
+		}
+		id := e.cellID(line, cell)
+		var g1, g2, g3 float64
+		if sigma != 0 {
+			g1 = sigma * stats.HashGaussian(seed, stats.Mix64(id, uint64(slotT1)))
+			g2 = sigma * stats.HashGaussian(seed, stats.Mix64(id, uint64(slotT2)))
+			g3 = sigma * stats.HashGaussian(seed, stats.Mix64(id, uint64(slotT3)))
+		}
+		if r := cellRetention(&e.Tech, p, g1, g2, g3); r < min {
+			min = r
+			if min == 0 {
+				break
+			}
+		}
+	}
+	return min
+}
+
+// refLineRetentionSTTRAM is the unbounded STT-RAM line loop: every
+// cell's Δ through Chip.DeltaVth.
+func refLineRetentionSTTRAM(b *STTRAM, e ChipEval, line int) float64 {
+	x0, x1, y := e.Geom.LineTiles(line)
+	sys0 := 1 + b.DeltaLSens*e.Chip.DeltaL(x0, y)
+	sys1 := 1 + b.DeltaLSens*e.Chip.DeltaL(x1, y)
+	nom := b.classDelta(e.Geom, line)
+	total := e.Geom.CellsPerLine + e.Geom.TagBits
+	half := e.Geom.CellsPerLine / 2
+	minDelta := math.Inf(1)
+	for cell := 0; cell < total; cell++ {
+		sys := sys0
+		if cell >= half && cell < e.Geom.CellsPerLine {
+			sys = sys1
+		}
+		dv := e.Chip.DeltaVth(e.cellID(line, cell), slotMTJ)
+		delta := nom * sys * (1 + b.DeltaSigmaScale*dv)
+		if delta < minDelta {
+			minDelta = delta
+		}
+	}
+	if minDelta < 0 {
+		minDelta = 0
+	}
+	return b.Tau0Sec * math.Exp(minDelta)
+}
+
+// refLineRetention dispatches to the reference kernel of e's backend.
+func refLineRetention(t testing.TB, e ChipEval, line int) float64 {
+	switch b := e.ActiveBackend().(type) {
+	case backend3T1D:
+		return refLineRetention3T1D(e, line)
+	case *STTRAM:
+		return refLineRetentionSTTRAM(b, e, line)
+	}
+	t.Fatalf("no reference kernel for backend %q", e.ActiveBackend().Name())
+	return 0
+}
+
+// kernelScenarios are the variation levels the bit-exact tests sweep:
+// none, both paper scenarios, and one beyond and one below them.
+var kernelScenarios = []variation.Scenario{
+	variation.NoVariation, variation.Typical, variation.Severe,
+	variation.Severe.Scaled(1.5), variation.Typical.Scaled(0.3),
+}
+
+// TestFastRetentionKernelMatchesReference compares whole retention maps
+// from the bound-and-skip kernels against the unbounded reference
+// loops, bit for bit, for every scenario × node × backend.
 func TestFastRetentionKernelMatchesReference(t *testing.T) {
-	// The hoisted kernel in LineRetention must agree with the generic
-	// Tech.RetentionTime evaluation cell for cell.
+	for _, backend := range []CellBackend{Backend3T1D, STTRAMBackend} {
+		for si, sc := range kernelScenarios {
+			for ni, tech := range Nodes {
+				seed := uint64(1000 + 10*si + ni)
+				chip := variation.NewChip(stats.NewRNG(seed), 0, sc, L1D.TileCols, L1D.TileRows)
+				e := NewChipEval(tech, L1D, chip)
+				e.Backend = backend
+				got := e.RetentionMap()
+				for line, r := range got {
+					if want := refLineRetention(t, e, line); math.Float64bits(r) != math.Float64bits(want) {
+						t.Fatalf("%s/%s/%s line %d: kernel %v (%#x), reference %v (%#x)",
+							backend.Name(), sc.Name, tech.Name, line, r, math.Float64bits(r), want, math.Float64bits(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReferenceKernelMatchesRetentionTime ties the hoisted cell
+// expressions to the generic Tech.RetentionTime evaluation, cell for
+// cell, on a severe chip.
+func TestReferenceKernelMatchesRetentionTime(t *testing.T) {
 	e := newEval(21, variation.Severe)
 	for _, line := range []int{0, 100, 511, 777, 1023} {
 		x0, x1, y := e.Geom.LineTiles(line)
@@ -206,15 +311,37 @@ func TestFastRetentionKernelMatchesReference(t *testing.T) {
 				min = r
 			}
 		}
-		got := e.LineRetention(line)
+		got := refLineRetention3T1D(e, line)
 		if min == 0 {
 			if got != 0 {
-				t.Errorf("line %d: fast=%v want dead", line, got)
+				t.Errorf("line %d: reference=%v want dead", line, got)
 			}
 			continue
 		}
 		if math.Abs(got-min)/min > 1e-9 {
-			t.Errorf("line %d: fast=%v reference=%v", line, got, min)
+			t.Errorf("line %d: reference=%v RetentionTime=%v", line, got, min)
 		}
 	}
+}
+
+// FuzzRetentionKernel checks one line of one chip against the reference
+// kernels of both backends, bit for bit, at an arbitrary seed, line and
+// scale of the severe scenario (negative scales reach the kernels'
+// exact-only paths). Its seed corpus is testdata/fuzz/FuzzRetentionKernel.
+func FuzzRetentionKernel(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, line uint16, scale float64) {
+		if math.IsNaN(scale) || math.Abs(scale) > 4 {
+			t.Skip("scale outside the modelled range")
+		}
+		chip := variation.NewChip(stats.NewRNG(seed), 0, variation.Severe.Scaled(scale), L1D.TileCols, L1D.TileRows)
+		e := NewChipEval(Nodes[seed%uint64(len(Nodes))], L1D, chip)
+		l := int(line) % L1D.Lines
+		for _, backend := range []CellBackend{Backend3T1D, STTRAMBackend} {
+			e.Backend = backend
+			got, want := e.LineRetention(l), refLineRetention(t, e, l)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s line %d: kernel %v, reference %v", backend.Name(), l, got, want)
+			}
+		}
+	})
 }

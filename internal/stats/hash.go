@@ -1,6 +1,24 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
+
+// HashBits53 returns the 53 uniformly distributed bits behind
+// HashUniform(seed, index): HashUniform is Bits53Uniform of this value,
+// so a kernel can bucket the integer draw (GaussBucket) before it pays
+// for the floating-point transform.
+func HashBits53(seed, index uint64) uint64 {
+	x := seed ^ (index+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9
+	return splitMix64(&x) >> 11
+}
+
+// Bits53Uniform maps a 53-bit integer m onto [0,1) as m/2^53 (exact:
+// every such m is representable).
+func Bits53Uniform(m uint64) float64 {
+	return float64(m) / (1 << 53)
+}
 
 // HashUniform returns a deterministic uniform value in [0,1) for the pair
 // (seed, index). Unlike RNG it is stateless: any (seed, index) can be
@@ -8,9 +26,7 @@ import "math"
 // per-cell device parameters for half a million cells without storing
 // them (random access by cell index).
 func HashUniform(seed, index uint64) float64 {
-	x := seed ^ (index+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9
-	v := splitMix64(&x)
-	return float64(v>>11) / (1 << 53)
+	return Bits53Uniform(HashBits53(seed, index))
 }
 
 // HashGaussian returns a deterministic standard-normal value for the pair
@@ -61,4 +77,73 @@ func InvNormCDF(p float64) float64 {
 func Mix64(a, b uint64) uint64 {
 	x := a ^ rotl(b, 29) ^ 0xd1b54a32d192ed03
 	return splitMix64(&x)
+}
+
+// GaussBuckets is the number of buckets GaussBucket splits the 53-bit
+// draw space into: the 254 interior 1/256 slices of [0,1) named by the
+// top 8 bits, plus gaussTailBuckets sub-buckets in each of the bottom
+// and top slices, one per count of leading zeros (bottom) or ones (top),
+// 8 through 53. The tail split keeps the bounds tight where the
+// Gaussian is steep.
+const GaussBuckets = 254 + 2*gaussTailBuckets
+
+const gaussTailBuckets = 53 - 8 + 1
+
+// gaussSlack widens every bucket's quantile bounds. It must exceed
+// everything that can make InvNormCDF non-monotone inside a bucket:
+// the jump of Acklam's approximation at its branch points pLow/pHigh
+// (4.4e-9, asserted by TestGaussBucketBoundsSound) and the wiggle its
+// 1.15e-9 relative error allows (< 1e-7 at the clamp's |z| ≈ 37.5).
+const gaussSlack = 1e-6
+
+// GaussBucket returns the bucket of the 53-bit draw m. Buckets are
+// numbered in increasing order of m: bottom tail, interior, top tail.
+func GaussBucket(m uint64) int {
+	switch top := m >> 45; top {
+	case 0:
+		return 64 - bits.LeadingZeros64(m) // bit length: 0 for m = 0, 45 at the slice's top
+	case 0xff:
+		return GaussBuckets - 1 - (64 - bits.LeadingZeros64(m^(1<<53-1)))
+	default:
+		return gaussTailBuckets - 1 + int(top)
+	}
+}
+
+// gaussBucketRange returns the smallest and largest draw in bucket b.
+func gaussBucketRange(b int) (lo, hi uint64) {
+	const max = 1<<53 - 1
+	switch {
+	case b == 0:
+		return 0, 0
+	case b < gaussTailBuckets:
+		return 1 << (b - 1), 1<<b - 1
+	case b < GaussBuckets-gaussTailBuckets:
+		top := uint64(b - gaussTailBuckets + 1)
+		return top << 45, (top+1)<<45 - 1
+	case b == GaussBuckets-1:
+		return max, max
+	default:
+		n := GaussBuckets - 1 - b // bit length of max-m
+		return max - (1<<n - 1), max - 1<<(n-1)
+	}
+}
+
+// gaussBounds holds, per bucket, a lower and an upper bound on
+// InvNormCDF(Bits53Uniform(m)) over every draw m in the bucket: the
+// quantiles at the bucket's two edges, widened by gaussSlack.
+var gaussBounds = func() (t [GaussBuckets][2]float64) {
+	for b := range t {
+		lo, hi := gaussBucketRange(b)
+		t[b] = [2]float64{
+			InvNormCDF(Bits53Uniform(lo)) - gaussSlack,
+			InvNormCDF(Bits53Uniform(hi)) + gaussSlack,
+		}
+	}
+	return t
+}()
+
+// GaussBucketBounds returns lo ≤ InvNormCDF(Bits53Uniform(m)) ≤ hi for
+// every draw m with GaussBucket(m) == b.
+func GaussBucketBounds(b int) (lo, hi float64) {
+	return gaussBounds[b][0], gaussBounds[b][1]
 }
